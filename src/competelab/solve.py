@@ -1,14 +1,29 @@
-"""Projected gradient descent, partition descent, and continuation.
+"""Preconditioned projected descent, partition descent, and continuation.
 
-The free minimizer iterates u <- clip(u - step * grad, [0, beta_i]) with
-Armijo backtracking on the total energy, so accepted steps never increase
-the energy and every iterate sits in the box [0, beta_i] (the species
-caps double as a priori sup bounds).  The partition solver alternates one
-such sweep per species on its own single-species energy with a hard
-segregation projection (largest density keeps the node, ties go to the
-lowest index), so its output has pairwise disjoint supports by
-construction.  Continuation re-minimizes along an increasing competition
-schedule, warm-starting each rate from the previous minimizer.
+Both minimizers take one kind of step (``_projected_step``).  Its search
+direction is the Sobolev gradient d_i = -h^2 (L + s_i h^2 I)^-1 grad_i,
+shifted per species by the slope s_i = |f_i'(beta_i)| of the species' law
+at its cap, which makes the iteration count independent of the mesh
+width.  The energy module applies the inverse matrix-free: a DST solve on
+the mask's bounding box, refined by a few preconditioned conjugate
+gradient steps on masks where the box solve alone would overshoot.
+
+The trial clip(U + t d), t = 1, 1/2, ..., to [0, beta_i] is accepted on
+an Armijo test against the linear model h^2 * sum(grad * (U_new - U));
+once t passes PRECOND_FLOOR the step falls back to the Euclidean
+clip(U - step * grad) under the plain Armijo test, because box
+projection in a non-diagonal metric need not descend.  Accepted steps
+therefore never increase the energy and every iterate sits in the box
+[0, beta_i] (the species caps double as a priori sup bounds).
+
+The free minimizer steps on the total coupled energy and stops when the
+energy has stalled for ``stall_window`` steps and the projected residual
+is below tolerance.  The partition solver alternates one step per
+species on its own single-species energy with a hard segregation
+projection (largest density keeps the node, ties go to the lowest
+index), so its output has pairwise disjoint supports by construction.
+Continuation re-minimizes along an increasing competition schedule,
+warm-starting each rate from the previous minimizer.
 """
 
 from __future__ import annotations
@@ -24,6 +39,9 @@ from .geometry import DomainMask
 from .model import Coupling, ScaledFamily, F_eval, cutoff_phi, f_eval
 
 STEP_UNDERFLOW = 1e-18
+# Smallest trial step along the preconditioned direction; below it the
+# iteration takes the Euclidean step instead.
+PRECOND_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -64,6 +82,8 @@ class MinimizeResult:
     start_label: str
     residual: float
     energies: np.ndarray
+    stop_reason: str | None = None  # residual, stall, max_iters, step_underflow
+    fallback_steps: int = 0         # steps that fell back to the Euclidean one
 
     @property
     def energy(self) -> float:
@@ -86,20 +106,29 @@ def alive_flags(sys: SpeciesSystem, cfg: SolverConfig) -> list:
     return out
 
 
+def _species_energy(v, L, h2, fam, lam, i):
+    """J-energy of species i (0-based) at v, with the product L @ v."""
+    Lv = L @ v
+    e = 0.5 * float(v @ Lv) - lam * h2 * float(np.sum(F_eval(fam, i + 1, v)))
+    return e, Lv
+
+
 def _stack_energy(U, L, h2, fam, lam, coupling, kappa):
+    """Energy of the stack U and its product L @ U, which the gradient reuses."""
+    LU = np.empty_like(U)
     e = 0.0
     for i in range(U.shape[0]):
-        e += 0.5 * float(U[i] @ (L @ U[i]))
-        e -= lam * h2 * float(np.sum(F_eval(fam, i + 1, U[i])))
+        e_i, LU[i] = _species_energy(U[i], L, h2, fam, lam, i)
+        e += e_i
     if kappa > 0 and coupling is not None and U.shape[0] > 1:
         e += kappa * h2 * float(np.sum(coupling.H(U)))
-    return e
+    return e, LU
 
 
-def _stack_gradient(U, L, h2, fam, lam, coupling, kappa):
+def _stack_gradient(U, LU, h2, fam, lam, coupling, kappa):
     g = np.empty_like(U)
     for i in range(U.shape[0]):
-        g[i] = (L @ U[i]) / h2 - lam * f_eval(fam, i + 1, U[i])
+        g[i] = LU[i] / h2 - lam * f_eval(fam, i + 1, U[i])
     if kappa > 0 and coupling is not None and U.shape[0] > 1:
         g += kappa * coupling.dH(U)
     return g
@@ -115,54 +144,100 @@ def _projected_residual(U, grad, betas):
     return float(np.max(np.abs(res))) if res.size else 0.0
 
 
+def _h1_shifts(fam, lam, h2):
+    """Per-species shifts s_i h^2 of the Sobolev metric L + s_i h^2 I.
+
+    s_i = lam * a_i * c_i is the slope |f_i'(beta_i)| of species i's scaled
+    law at its cap, so each species is preconditioned on its own density
+    scale.
+    """
+    return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
+
+
+def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2):
+    """One box-projected Armijo step from U at energy E.
+
+    Tries the preconditioned direction D from t = 1, accepting
+    clip(U + t D) once the energy falls by ``armijo_c`` times the linear
+    model h^2 * sum(grad * (U_new - U)) < 0.  Projection under a
+    non-diagonal metric need not descend, so when t passes PRECOND_FLOOR
+    the Euclidean step clip(U - step * grad) with the caller's persistent
+    step size is taken instead, under the plain Armijo test.
+
+    Returns (U_new, E_new, L @ U_new, step, fallback); U_new is None when
+    the Euclidean step underflowed as well.
+    """
+    t = 1.0
+    while t >= PRECOND_FLOOR:
+        U_new = np.clip(U + t * D, 0.0, cap)
+        model = h2 * float(np.sum(grad * (U_new - U)))
+        if model < 0:
+            E_new, LU = value(U_new)
+            if E_new <= E + cfg.armijo_c * model:
+                return U_new, E_new, LU, step, False
+        t *= cfg.armijo_shrink
+    while step > STEP_UNDERFLOW:
+        U_new = np.clip(U - step * grad, 0.0, cap)
+        E_new, LU = value(U_new)
+        move = float(np.sum((U_new - U) ** 2))
+        if E_new <= E - cfg.armijo_c * (h2 / step) * move:
+            if move > 0:
+                step = min(step * cfg.step_growth, step_cap)
+            return U_new, E_new, LU, step, True
+        step *= cfg.armijo_shrink
+    return None, E, None, step, True
+
+
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                   start_label: str = "custom") -> MinimizeResult:
-    """Box-projected Armijo gradient descent on the full coupled energy."""
+    """H^1-preconditioned projected descent on the full coupled energy."""
     mask = sys0.mask
-    L = _ops(mask).L
+    ops = _ops(mask)
+    L, box = ops.L, ops.box_solver()
     h2 = mask.h ** 2
     fam, lam, coupling, kappa = sys0.fam, sys0.lam, sys0.coupling, sys0.kappa
     betas = fam.betas
+    caps = betas[:, None]
     tol_res = cfg.tol_residual if cfg.tol_residual is not None else 1e-6 * lam
     step = cfg.step0 if cfg.step0 is not None else h2 / 8.0
+    shifts = _h1_shifts(fam, lam, h2)
 
-    U = np.clip(sys0.stacked(), 0.0, betas[:, None])
-    E = _stack_energy(U, L, h2, fam, lam, coupling, kappa)
+    def value(V):
+        return _stack_energy(V, L, h2, fam, lam, coupling, kappa)
+
+    U = np.clip(sys0.stacked(), 0.0, caps)
+    E, LU = value(U)
     if not np.isfinite(E):
         raise ValueError("non-finite energy at the initial iterate")
 
     step_cap = 1e9 * step
     energies = [E]
     stall = 0
+    fallback_steps = 0
     converged = False
+    stop_reason = "max_iters"
     resnorm = np.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = _stack_gradient(U, L, h2, fam, lam, coupling, kappa)
+        grad = _stack_gradient(U, LU, h2, fam, lam, coupling, kappa)
         resnorm = _projected_residual(U, grad, betas)
-
-        accepted = False
-        while step > STEP_UNDERFLOW:
-            U_new = np.clip(U - step * grad, 0.0, betas[:, None])
-            E_new = _stack_energy(U_new, L, h2, fam, lam, coupling, kappa)
-            move = float(np.sum((U_new - U) ** 2))
-            if E_new <= E - cfg.armijo_c * (h2 / step) * move:
-                accepted = True
-                break
-            step *= cfg.armijo_shrink
-        if not accepted:
+        D = -h2 * box.mask_solve(grad, shifts)
+        U_new, E_new, LU_new, step, fallback = _projected_step(
+            value, U, E, grad, D, caps, step, step_cap, cfg, h2)
+        fallback_steps += fallback
+        if U_new is None:
             converged = resnorm <= tol_res
+            stop_reason = "step_underflow"
             break
 
         drop = E - E_new
         stall = stall + 1 if drop < cfg.tol_energy * max(1.0, abs(E)) else 0
-        U, E = U_new, E_new
+        U, E, LU = U_new, E_new, LU_new
         energies.append(E)
-        if move > 0:
-            step = min(step * cfg.step_growth, step_cap)
 
         if stall >= cfg.stall_window and resnorm <= tol_res:
             converged = True
+            stop_reason = "residual"
             break
 
     final = sys0.replace_values(U)
@@ -170,7 +245,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     return MinimizeResult(system=final, report=report, iters=it,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label, residual=resnorm,
-                          energies=np.array(energies))
+                          energies=np.array(energies), stop_reason=stop_reason,
+                          fallback_steps=fallback_steps)
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -332,68 +408,73 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                        start_label: str = "custom") -> MinimizeResult:
     """Alternating descent/projection scheme for the segregated problem.
 
-    Ignores the competition rate: each species sweeps once on its own
-    single-species energy, then the segregation projection restores
-    pairwise disjoint supports.  Terminates on an energy stall of the
-    segregated total.  The output is segregated nodewise by construction.
+    Ignores the competition rate: each species takes one projected step
+    on its own single-species energy, then the segregation projection
+    restores pairwise disjoint supports.  Terminates on an energy stall of
+    the segregated total.  The output is segregated nodewise by
+    construction.
     """
     mask = sys0.mask
-    L = _ops(mask).L
+    ops = _ops(mask)
+    L, box = ops.L, ops.box_solver()
     h2 = mask.h ** 2
     fam, lam = sys0.fam, sys0.lam
     betas = fam.betas
     k = fam.k
 
+    def energies_of(V):
+        """Per-species energies of V and the product L @ V."""
+        parts = [_species_energy(V[i], L, h2, fam, lam, i) for i in range(k)]
+        return np.array([e for e, _ in parts]), np.stack([Lv for _, Lv in parts])
+
     U = segregation_projection(np.clip(sys0.stacked(), 0.0, betas[:, None]))
-
-    def species_energy(v, i):
-        return (0.5 * float(v @ (L @ v))
-                - lam * h2 * float(np.sum(F_eval(fam, i + 1, v))))
-
-    E = sum(species_energy(U[i], i) for i in range(k))
+    Es, LU = energies_of(U)
+    E = float(Es.sum())
     if not np.isfinite(E):
         raise ValueError("non-finite energy at the initial iterate")
 
+    shifts = _h1_shifts(fam, lam, h2)
     step0 = cfg.step0 if cfg.step0 is not None else h2 / 8.0
     steps = np.full(k, step0)
     step_cap = 1e9 * step0
     energies = [E]
     stall = 0
+    fallback_steps = 0
     converged = False
+    stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
+        grad = _stack_gradient(U, LU, h2, fam, lam, None, 0.0)
+        D = -h2 * box.mask_solve(grad, shifts)
         for i in range(k):
-            v = U[i]
-            g = (L @ v) / h2 - lam * f_eval(fam, i + 1, v)
-            Ei = species_energy(v, i)
-            while steps[i] > STEP_UNDERFLOW:
-                v_new = np.clip(v - steps[i] * g, 0.0, betas[i])
-                E_new = species_energy(v_new, i)
-                move = float(np.sum((v_new - v) ** 2))
-                if E_new <= Ei - cfg.armijo_c * (h2 / steps[i]) * move:
-                    U[i] = v_new
-                    if move > 0:
-                        steps[i] = min(steps[i] * cfg.step_growth, step_cap)
-                    break
-                steps[i] *= cfg.armijo_shrink
+            value = lambda v, i=i: _species_energy(v, L, h2, fam, lam, i)
+            v_new, _, _, steps[i], fallback = _projected_step(
+                value, U[i], Es[i], grad[i], D[i], betas[i], steps[i],
+                step_cap, cfg, h2)
+            fallback_steps += fallback
+            if v_new is not None:
+                U[i] = v_new
 
         U = segregation_projection(U)
-        E_new = sum(species_energy(U[i], i) for i in range(k))
+        Es, LU = energies_of(U)
+        E_new = float(Es.sum())
         stall = stall + 1 if abs(E - E_new) < cfg.tol_energy * max(1.0, abs(E)) else 0
         E = E_new
         energies.append(E)
         if stall >= cfg.stall_window:
             converged = True
+            stop_reason = "stall"
             break
 
     final = sys0.replace_values(U)
     report = energy_total(final)
-    grad = _stack_gradient(U, L, h2, fam, lam, None, 0.0)
+    grad = _stack_gradient(U, LU, h2, fam, lam, None, 0.0)
     return MinimizeResult(system=final, report=report, iters=it,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label,
                           residual=_projected_residual(U, grad, betas),
-                          energies=np.array(energies))
+                          energies=np.array(energies), stop_reason=stop_reason,
+                          fallback_steps=fallback_steps)
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

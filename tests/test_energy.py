@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from competelab.energy import (DensityField, SpeciesSystem, bilinear_sample,
-                               dirichlet_energy, energy_gradient, energy_total,
-                               field_to_csv, field_to_pgm, lambda1, laplacian,
-                               rescaled_copy, single_species_energy)
+from competelab.energy import (MASK_SOLVE_TOL, DensityField, SpeciesSystem,
+                               _ops, bilinear_sample, dirichlet_energy,
+                               energy_gradient, energy_total, field_to_csv,
+                               field_to_pgm, lambda1, laplacian, rescaled_copy,
+                               single_species_energy)
 from competelab.geometry import build_disc, build_rectangle, build_wedge
 from competelab.model import (F_eval, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
@@ -219,6 +220,85 @@ class TestLambda1:
     def test_iteration_cap(self):
         with pytest.raises(RuntimeError):
             lambda1(build_rectangle(1, 1, 1 / 16), tol=0.0, max_iters=2)
+
+
+class TestBoxSolver:
+    @pytest.mark.parametrize("width,height,h", [(1, 1, 1 / 16), (1.5, 0.75, 1 / 12),
+                                                (2, 1, 1 / 10)])
+    @pytest.mark.parametrize("s", [0.0, 50.0, 5000.0])
+    def test_exact_on_rectangles(self, width, height, h, s):
+        mask = build_rectangle(width, height, h)
+        L = _ops(mask).L.toarray()
+        A = L + s * h * h * np.eye(mask.n_interior)
+        b = np.random.default_rng(3).normal(size=mask.n_interior)
+        want = np.linalg.solve(A, b)
+        got = _ops(mask).box_solver().solve(b, s * h * h)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rows_take_their_own_shifts(self):
+        mask = build_rectangle(1, 1, 1 / 12)
+        box = _ops(mask).box_solver()
+        B = np.random.default_rng(4).normal(size=(3, mask.n_interior))
+        shifts = [0.0, 0.3, 7.0]
+        stacked = box.solve(B, shifts)
+        for i in range(3):
+            assert np.array_equal(stacked[i], box.solve(B[i], shifts[i]))
+
+    @pytest.mark.parametrize("mask", [build_disc(1.0, 1 / 12), build_wedge(2.0, 1 / 24),
+                                      build_disc(0.5, 1 / 20)], ids=repr)
+    def test_symmetric_positive_on_curved_masks(self, mask):
+        box = _ops(mask).box_solver()
+        rng = np.random.default_rng(5)
+        for s in (0.0, 2.0):
+            x, y = rng.normal(size=(2, mask.n_interior))
+            Px, Py = box.solve(x, s), box.solve(y, s)
+            assert float(x @ Py) == pytest.approx(float(y @ Px), rel=1e-12)
+            assert float(x @ Px) > 0
+            assert float(y @ Py) > 0
+
+    def test_cached_per_mask(self):
+        mask = build_disc(1.0, 1 / 8)
+        first = _ops(mask).box_solver()
+        assert _ops(mask).box_solver() is first
+        assert _ops(build_disc(1.0, 1 / 8)).box_solver() is not first
+
+    @pytest.mark.parametrize("mask,shift", [
+        (build_rectangle(1, 1, 1 / 8), 0.0), (build_disc(1.0, 1 / 8), 0.78),
+        (build_disc(1.0, 1 / 8), 0.0), (build_disc(1.0, 1 / 16), 0.0),
+        (build_disc(1.0, 1 / 16), 2.0), (build_wedge(2.0, 1 / 24), 0.0),
+        (build_wedge(2.0, 1 / 24), 0.5)], ids=str)
+    def test_overshoot_test_matches_dense_spectrum(self, mask, shift):
+        # mu_max of P (L + shift I) from the dense generalized eigenproblem
+        ops = _ops(mask)
+        n = mask.n_interior
+        P = ops.box_solver().solve(np.eye(n), shift)
+        A = ops.L.toarray() + shift * np.eye(n)
+        mu = np.linalg.eigvals(P @ A).real
+        assert mu.min() > 1 - 1e-9
+        assert ops.box_solver()._overshoots(shift) == (mu.max() > 2.0)
+
+    def test_mask_solve_is_box_solve_where_stable(self):
+        for mask, shifts in ((build_rectangle(1, 1, 1 / 16), [0.0, 3.0]),
+                             (build_disc(1.0, 1 / 8), [0.78, 5.0])):
+            box = _ops(mask).box_solver()
+            b = np.random.default_rng(6).normal(size=(2, mask.n_interior))
+            assert np.array_equal(box.mask_solve(b, shifts), box.solve(b, shifts))
+
+    @pytest.mark.parametrize("mask", [build_disc(1.0, 1 / 32),
+                                      build_wedge(2.0, 1 / 64)], ids=repr)
+    def test_mask_solve_refines_where_box_overshoots(self, mask):
+        ops = _ops(mask)
+        box = ops.box_solver()
+        shifts = [0.0, 0.01]
+        assert all(box._overshoots(s) for s in shifts)
+        B = np.random.default_rng(7).normal(size=(2, mask.n_interior))
+        X = box.mask_solve(B, shifts)
+        for i, s in enumerate(shifts):
+            residual = B[i] - (ops.L @ X[i] + s * X[i])
+            assert np.linalg.norm(residual) <= MASK_SOLVE_TOL * np.linalg.norm(B[i])
+            assert float(B[i] @ X[i]) > 0  # a descent direction
+            unrefined = B[i] - (ops.L @ box.solve(B[i], s) + s * box.solve(B[i], s))
+            assert np.linalg.norm(residual) < np.linalg.norm(unrefined)
 
 
 class TestRescaledCopy:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competelab.energy import DensityField, SpeciesSystem, energy_total
 from competelab.geometry import build_disc, build_rectangle, build_wedge
-from competelab.model import (ScaledFamily, coupling_quartic, identical_family,
-                              logistic, scaled_family)
+from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
+                              identical_family, logistic, scaled_family)
 from competelab.solve import (SolverConfig, alive_flags, default_initializers,
                               kappa_continuation, merged_system, minimize_free,
                               minimize_multistart, minimize_partition,
@@ -76,6 +78,129 @@ class TestMinimizeFree:
             np.full((1, mask.n_interior), 0.5)), cfg)
         assert res.converged
         assert res.residual <= 1e-6 * 100.0
+        assert res.stop_reason == "residual"
+        assert 0 <= res.fallback_steps < res.iters
+
+    def test_max_iters_reported(self):
+        mask = build_rectangle(1, 1, 1 / 16)
+        res = minimize_free(zero_system(mask, single_fam(), 100.0).replace_values(
+            np.full((1, mask.n_interior), 0.5)), SolverConfig(max_iters=3))
+        assert res.iters == 3 and not res.converged
+        assert res.stop_reason == "max_iters"
+
+    def test_step_underflow_reported(self):
+        # G is the negated antiderivative of g, so the gradient the solver
+        # is handed points uphill: no preconditioned or Euclidean step
+        # passes Armijo and the solve must say so instead of stalling.
+        good = logistic()
+        bad = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
+                           G=lambda s: -good.G(s))
+        mask = build_rectangle(1, 1, 1 / 4)
+        start = SpeciesSystem([DensityField(mask, np.full(mask.n_interior, 0.5))],
+                              ScaledFamily(base=bad, k=1, eps=()), None, 1e4)
+        res = minimize_free(start, SolverConfig(max_iters=50))
+        assert res.stop_reason == "step_underflow"
+        assert res.iters == 1 and res.fallback_steps == 1
+        assert not res.converged
+        assert np.array_equal(res.system.fields[0].values, start.fields[0].values)
+
+
+def single_start_solve(build, h, lam, max_iters):
+    mask = build(h)
+    starts = dict(default_initializers(mask, single_fam(), lam,
+                                       cfg=SolverConfig(restarts=0)))
+    return minimize_free(starts["single"],
+                         SolverConfig(restarts=0, max_iters=max_iters))
+
+
+class TestPreconditionedDescent:
+    @pytest.mark.parametrize("lam", [50.0, 200.0, 800.0])
+    @pytest.mark.parametrize("build", [lambda h: build_rectangle(1, 1, h),
+                                       lambda h: build_disc(1.0, h)],
+                             ids=["square", "disc"])
+    def test_iterations_independent_of_mesh(self, build, lam):
+        # Euclidean descent needs 1607 and 6379 iterations at lam = 50 on
+        # the square at h = 1/32 and 1/64; the H^1 direction keeps the
+        # count flat.  On the disc the box solve alone stalls at h = 1/128,
+        # lam = 50, with the residual stuck above tolerance.
+        for h in (1 / 32, 1 / 64, 1 / 128):
+            res = single_start_solve(build, h, lam, max_iters=60)
+            assert res.stop_reason == "residual", (h, res.iters)
+            assert res.converged
+
+    @pytest.mark.parametrize("kappa,seed_energy", [(400.0, -95.55591211732187),
+                                                   (4000.0, -75.65372161575897)])
+    def test_best_of_starts_matches_euclidean_descent(self, kappa, seed_energy):
+        # seed_energy: the best over the same starts found by Euclidean
+        # projected descent.  A single start may end in another local
+        # minimum (at kappa = 4000 the seeded start loses species 2); the
+        # best over starts may not be worse.
+        mask = build_disc(1.0, 1 / 32)
+        fam = scaled_family(logistic(), 2, (0.3,))
+        best, results = minimize_multistart(mask, fam, 200.0,
+                                            coupling=coupling_quartic(2),
+                                            kappa=kappa,
+                                            cfg=SolverConfig(restarts=0))
+        assert best.energy <= seed_energy + 1e-9 * abs(seed_energy)
+        assert best.alive == [True, True]
+        assert all(r.converged for r in results)
+
+    def test_partition_reports_stall(self):
+        mask = build_wedge(2.0, 1 / 24)
+        fam = scaled_family(logistic(), 2, (0.5,))
+        starts = dict(default_initializers(mask, fam, 300.0,
+                                           cfg=SolverConfig(restarts=0)))
+        res = minimize_partition(starts["seeded"], SolverConfig())
+        assert res.converged and res.stop_reason == "stall"
+        capped = minimize_partition(starts["seeded"], SolverConfig(max_iters=2))
+        assert capped.stop_reason == "max_iters" and not capped.converged
+
+
+MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
+         "wedge": build_wedge(2.0, 1 / 20)}
+
+
+@st.composite
+def random_systems(draw):
+    mask = MASKS[draw(st.sampled_from(sorted(MASKS)))]
+    k = draw(st.integers(1, 3))
+    eps = tuple(draw(st.floats(0.1, 0.9)) for _ in range(k - 1))
+    fam = ScaledFamily(base=logistic(), k=k, eps=eps)
+    lam = draw(st.floats(5.0, 400.0))
+    kappa = draw(st.floats(0.0, 2000.0)) if k > 1 else 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # starts may leave the box: the solvers project them first
+    U = rng.uniform(-0.5, 1.5, (k, mask.n_interior)) * fam.betas[:, None]
+    fields = [DensityField(mask, U[i]) for i in range(k)]
+    coupling = coupling_quartic(k) if k > 1 else None
+    return SpeciesSystem(fields, fam, coupling, lam, kappa)
+
+
+def in_box(res):
+    U = res.system.stacked()
+    return bool(np.all(U >= 0.0) and np.all(U <= res.system.fam.betas[:, None]))
+
+
+class TestSolverProperties:
+    @given(random_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_free_energy_never_rises_and_stays_in_box(self, sys0):
+        res = minimize_free(sys0, SolverConfig(max_iters=150))
+        assert np.all(np.diff(res.energies) <= 0.0)
+        assert res.energies[-1] == pytest.approx(res.energy, rel=1e-12, abs=1e-12)
+        assert in_box(res)
+        assert res.stop_reason in ("residual", "max_iters", "step_underflow")
+
+    @given(random_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_partition_disjoint_and_in_box(self, sys0):
+        res = minimize_partition(sys0, SolverConfig(max_iters=150))
+        V = res.system.stacked()
+        for i in range(V.shape[0]):
+            for j in range(i + 1, V.shape[0]):
+                assert np.all(V[i] * V[j] == 0.0)
+        assert in_box(res)
+        assert res.stop_reason in ("stall", "max_iters")
 
 
 class TestInitializers:
