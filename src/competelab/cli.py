@@ -175,9 +175,7 @@ def _write_run_outputs(norm, mask, best, results, outdir, dump_fields, say,
             "minimize", mask, res, seed, 0.0, eps=tuple(norm["eps"]),
             verdict=verdict))
     lab.write_records_csv(records, os.path.join(outdir, "results.csv"))
-    manifest = os.path.join(outdir, "manifest.txt")
-    for rec in records:
-        lab.append_manifest(rec, manifest)
+    lab.append_new_manifest_keys(records, os.path.join(outdir, "manifest.txt"))
     if dump_fields:
         _dump_fields(best, outdir, mask)
     say(f"energy {lab.fmt(best.energy)}  converged {best.converged}  "

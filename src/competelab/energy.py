@@ -59,6 +59,12 @@ class _MaskOps:
         return self._box
 
 
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of order n: symmetric and its own inverse."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
 def _rowdot(A, B):
     return np.einsum("ij,ij->i", A, B)
 
@@ -72,22 +78,25 @@ class _BoxSolver:
     """Matrix-free ``(L_box + shift I)^-1`` restricted to the mask.
 
     ``L_box`` is the five-point matrix on the bounding box of the interior
-    nodes, with zero Dirichlet data around the box.  A 2-D DST-I
-    diagonalizes it, so a solve is two orthonormal transforms and a
-    division by ``2 - 2cos(p pi/(Nx+1)) + 2 - 2cos(q pi/(Ny+1)) + shift``.
-    On a rectangle the box is the mask and the solve is exact; on any other
-    mask ``P = R (L_box + shift I)^-1 R^T`` (R the restriction to the mask)
-    is still symmetric positive definite.  A new shift changes only the
-    divisor, so nothing is factorized or rebuilt per shift.
+    nodes, with zero Dirichlet data around the box.  The orthonormal DST-I
+    matrices ``S_n[j, l] = sqrt(2/(n+1)) sin(pi j l/(n+1))`` diagonalize it,
+    so a solve is ``S_x (S_x X S_y / eig) S_y`` for the box array X, with
+    ``eig = 2 - 2cos(p pi/(Nx+1)) + 2 - 2cos(q pi/(Ny+1)) + shift``.  Each
+    ``S_n`` is symmetric and its own inverse, and is built once per box.
+    Dense products cost more arithmetic than a fast transform but no
+    per-call set-up, which is what dominates on the lab's boxes (README,
+    "Solver").  On a rectangle the box is the mask and the solve is exact; on
+    any other mask ``P = R (L_box + shift I)^-1 R^T`` (R the restriction to
+    the mask) is still symmetric positive definite.  A new shift changes
+    only the divisor, so nothing is factorized or rebuilt per shift.
     """
 
     def __init__(self, L, ii, jj, rim):
-        from scipy.fft import dstn  # imported here: it is slow to load
-        self._dstn = dstn
         self.L = L
-        self.rows = ii - ii.min()
-        self.cols = jj - jj.min()
-        nx, ny = int(self.rows.max()) + 1, int(self.cols.max()) + 1
+        rows, cols = ii - ii.min(), jj - jj.min()
+        nx, ny = int(rows.max()) + 1, int(cols.max()) + 1
+        self.flat = rows * ny + cols     # mask node -> position in the box
+        self.sx, self.sy = _sine_matrix(nx), _sine_matrix(ny)
         ex = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))
         ey = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))
         self.eig = ex[:, None] + ey[None, :]
@@ -102,12 +111,13 @@ class _BoxSolver:
         """
         B = np.asarray(B, dtype=float)
         rows = np.atleast_2d(B)
-        box = np.zeros((rows.shape[0],) + self.eig.shape)
-        box[:, self.rows, self.cols] = rows
-        coef = self._dstn(box, type=1, axes=(1, 2), norm="ortho")
+        box = np.zeros((rows.shape[0], self.eig.size))
+        box[:, self.flat] = rows
+        box = box.reshape((-1,) + self.eig.shape)
+        coef = self.sx @ box @ self.sy
         coef /= self.eig + np.asarray(shifts, dtype=float).reshape(-1, 1, 1)
-        out = self._dstn(coef, type=1, axes=(1, 2), norm="ortho")
-        return out[:, self.rows, self.cols].reshape(B.shape)
+        out = (self.sx @ coef @ self.sy).reshape(rows.shape[0], -1)
+        return out[:, self.flat].reshape(B.shape)
 
     def mask_solve(self, B: np.ndarray, shifts) -> np.ndarray:
         """Rows of ``(L + shift_i I)^-1 B_i`` on the mask itself.

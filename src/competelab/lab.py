@@ -153,6 +153,15 @@ def append_manifest(record: RunRecord, path) -> None:
         fh.write(record.coordinate_key() + f"|seed={record.seed}\n")
 
 
+def append_new_manifest_keys(records, path) -> None:
+    """Append the records whose coordinate key the manifest does not hold yet."""
+    done = read_manifest_keys(path)
+    for rec in records:
+        if rec.coordinate_key() not in done:
+            append_manifest(rec, path)
+            done.add(rec.coordinate_key())
+
+
 def read_manifest_keys(path) -> set:
     keys = set()
     if os.path.exists(str(path)):
@@ -551,9 +560,8 @@ def _maybe_write(verdict: LabVerdict, out) -> None:
     if verdict.records:
         write_records_csv(verdict.records,
                           os.path.join(str(out), f"{verdict.experiment}.csv"))
-        manifest = os.path.join(str(out), "manifest.txt")
-        for rec in verdict.records:
-            append_manifest(rec, manifest)
+        append_new_manifest_keys(verdict.records,
+                                 os.path.join(str(out), "manifest.txt"))
     else:
         import json
         path = os.path.join(str(out), f"{verdict.experiment}.json")

@@ -16,12 +16,24 @@ projection in a non-diagonal metric need not descend.  Accepted steps
 therefore never increase the energy and every iterate sits in the box
 [0, beta_i] (the species caps double as a priori sup bounds).
 
-The free minimizer steps on the total coupled energy and stops when the
-energy has stalled for ``stall_window`` steps and the projected residual
-is below tolerance.  The partition solver alternates one step per
-species on its own single-species energy with a hard segregation
-projection (largest density keeps the node, ties go to the lowest
-index), so its output has pairwise disjoint supports by construction.
+A unit trial is flat when its model lies in (-tol_energy * max(1, |E|), 0]:
+even the full step predicts a drop below the stall threshold.  A flat
+step is a null step (no evaluation, no backtracking), and since it
+leaves U, its gradient and its direction as they were, every later
+iteration would repeat it, so the solve stops at once.  A positive
+model, where the projection blocks descent, is never flat.
+
+The free minimizer steps on the total coupled energy.  It stops on a
+flat step once the projected residual is below tolerance (above it
+flat steps take the full line search, which cannot spin), or when the
+energy has stalled for ``stall_window`` steps with the residual below
+tolerance.  The partition solver alternates one step per species on its
+own single-species energy with a hard segregation projection (largest
+density keeps the node, ties go to the lowest index), so its output has
+pairwise disjoint supports by construction; a flat species keeps its
+density, and the solve stops when every species is flat or the total
+energy has stalled for ``stall_window`` iterations.
+
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer.
 """
@@ -84,6 +96,7 @@ class MinimizeResult:
     energies: np.ndarray
     stop_reason: str | None = None  # residual, stall, max_iters, step_underflow
     fallback_steps: int = 0         # steps that fell back to the Euclidean one
+    evals: int = 0                  # energy evaluations (per species: partition)
 
     @property
     def energy(self) -> float:
@@ -154,7 +167,8 @@ def _h1_shifts(fam, lam, h2):
     return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
 
 
-def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2):
+def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2,
+                    null_ok=False):
     """One box-projected Armijo step from U at energy E.
 
     Tries the preconditioned direction D from t = 1, accepting
@@ -164,17 +178,28 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2):
     the Euclidean step clip(U - step * grad) with the caller's persistent
     step size is taken instead, under the plain Armijo test.
 
-    Returns (U_new, E_new, L @ U_new, step, fallback); U_new is None when
-    the Euclidean step underflowed as well.
+    With ``null_ok`` a flat unit trial, whose model lies in
+    (-tol_energy * max(1, |E|), 0], is a null step: even the full step
+    predicts a drop below the stall test's threshold, so nothing is
+    evaluated and U is returned as it is.  A positive model, where the
+    projection blocks descent, is never flat.
+
+    Returns (U_new, E_new, L @ U_new, step, how), where ``how`` is
+    "precond" or "euclid" for the step taken, "flat" for a null step
+    (U_new is U, L @ U_new is None) and "underflow" when the Euclidean
+    step underflowed as well (U_new is None).
     """
     t = 1.0
     while t >= PRECOND_FLOOR:
         U_new = np.clip(U + t * D, 0.0, cap)
         model = h2 * float(np.sum(grad * (U_new - U)))
+        if (null_ok and t == 1.0
+                and -cfg.tol_energy * max(1.0, abs(E)) < model <= 0):
+            return U, E, None, step, "flat"
         if model < 0:
             E_new, LU = value(U_new)
             if E_new <= E + cfg.armijo_c * model:
-                return U_new, E_new, LU, step, False
+                return U_new, E_new, LU, step, "precond"
         t *= cfg.armijo_shrink
     while step > STEP_UNDERFLOW:
         U_new = np.clip(U - step * grad, 0.0, cap)
@@ -183,9 +208,9 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2):
         if E_new <= E - cfg.armijo_c * (h2 / step) * move:
             if move > 0:
                 step = min(step * cfg.step_growth, step_cap)
-            return U_new, E_new, LU, step, True
+            return U_new, E_new, LU, step, "euclid"
         step *= cfg.armijo_shrink
-    return None, E, None, step, True
+    return None, E, None, step, "underflow"
 
 
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
@@ -202,7 +227,11 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     step = cfg.step0 if cfg.step0 is not None else h2 / 8.0
     shifts = _h1_shifts(fam, lam, h2)
 
+    evals = 0
+
     def value(V):
+        nonlocal evals
+        evals += 1
         return _stack_energy(V, L, h2, fam, lam, coupling, kappa)
 
     U = np.clip(sys0.stacked(), 0.0, caps)
@@ -222,10 +251,17 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
         grad = _stack_gradient(U, LU, h2, fam, lam, coupling, kappa)
         resnorm = _projected_residual(U, grad, betas)
         D = -h2 * box.mask_solve(grad, shifts)
-        U_new, E_new, LU_new, step, fallback = _projected_step(
-            value, U, E, grad, D, caps, step, step_cap, cfg, h2)
-        fallback_steps += fallback
-        if U_new is None:
+        # A null step repeats forever, so it ends the solve at once; above
+        # the residual tolerance it is not allowed, or it would spin.
+        U_new, E_new, LU_new, step, how = _projected_step(
+            value, U, E, grad, D, caps, step, step_cap, cfg, h2,
+            null_ok=resnorm <= tol_res)
+        fallback_steps += how in ("euclid", "underflow")
+        if how == "flat":
+            converged = True
+            stop_reason = "residual"
+            break
+        if how == "underflow":
             converged = resnorm <= tol_res
             stop_reason = "step_underflow"
             break
@@ -246,7 +282,7 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label, residual=resnorm,
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps)
+                          fallback_steps=fallback_steps, evals=evals)
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -410,8 +446,8 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
 
     Ignores the competition rate: each species takes one projected step
     on its own single-species energy, then the segregation projection
-    restores pairwise disjoint supports.  Terminates on an energy stall of
-    the segregated total.  The output is segregated nodewise by
+    restores pairwise disjoint supports.  Terminates when every species'
+    step is flat or on an energy stall of the segregated total.  The output is segregated nodewise by
     construction.
     """
     mask = sys0.mask
@@ -422,9 +458,16 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     betas = fam.betas
     k = fam.k
 
+    evals = 0
+
+    def species_value(v, i):
+        nonlocal evals
+        evals += 1
+        return _species_energy(v, L, h2, fam, lam, i)
+
     def energies_of(V):
         """Per-species energies of V and the product L @ V."""
-        parts = [_species_energy(V[i], L, h2, fam, lam, i) for i in range(k)]
+        parts = [species_value(V[i], i) for i in range(k)]
         return np.array([e for e, _ in parts]), np.stack([Lv for _, Lv in parts])
 
     U = segregation_projection(np.clip(sys0.stacked(), 0.0, betas[:, None]))
@@ -446,14 +489,20 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     for it in range(1, cfg.max_iters + 1):
         grad = _stack_gradient(U, LU, h2, fam, lam, None, 0.0)
         D = -h2 * box.mask_solve(grad, shifts)
+        flat = 0
         for i in range(k):
-            value = lambda v, i=i: _species_energy(v, L, h2, fam, lam, i)
-            v_new, _, _, steps[i], fallback = _projected_step(
+            value = lambda v, i=i: species_value(v, i)
+            v_new, _, _, steps[i], how = _projected_step(
                 value, U[i], Es[i], grad[i], D[i], betas[i], steps[i],
-                step_cap, cfg, h2)
-            fallback_steps += fallback
+                step_cap, cfg, h2, null_ok=True)
+            fallback_steps += how in ("euclid", "underflow")
+            flat += how == "flat"
             if v_new is not None:
                 U[i] = v_new
+        if flat == k:   # U is unchanged, so every later iteration repeats
+            converged = True
+            stop_reason = "stall"
+            break
 
         U = segregation_projection(U)
         Es, LU = energies_of(U)
@@ -474,7 +523,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                           start_label=start_label,
                           residual=_projected_residual(U, grad, betas),
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps)
+                          fallback_steps=fallback_steps, evals=evals)
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

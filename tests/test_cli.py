@@ -100,6 +100,15 @@ class TestMinimizeCommand:
         saved = json.load(open(out + "/config.json"))
         assert normalize_run_config(saved) == saved
 
+    def test_rerun_adds_no_manifest_lines(self, tmp_path):
+        # every start of a run shares one coordinate key
+        out = str(tmp_path / "run")
+        path = write_config(tmp_path, "c.json", base_run_config(out))
+        for _ in range(2):
+            assert main(["minimize", "--config", path, "--quiet"]) == 0
+        with open(out + "/manifest.txt") as fh:
+            assert len(fh.read().splitlines()) == 1
+
     def test_forced_nonconvergence_exits_2(self, tmp_path):
         out = str(tmp_path / "run")
         cfg = base_run_config(out)

@@ -256,6 +256,26 @@ class TestBoxSolver:
             assert float(x @ Px) > 0
             assert float(y @ Py) > 0
 
+    @pytest.mark.parametrize("mask", [build_disc(1.0, 1 / 12), build_wedge(2.0, 1 / 24),
+                                      build_disc(0.5, 1 / 20)], ids=repr)
+    def test_matches_the_dst_formula(self, mask):
+        # (L_box + s I)^-1 by the 2-D DST-I of the zero-padded bounding box
+        from scipy.fft import dstn
+        ii, jj = np.nonzero(mask.interior)
+        ii, jj = ii - ii.min(), jj - jj.min()
+        nx, ny = ii.max() + 1, jj.max() + 1
+        ex = 2 - 2 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))
+        ey = 2 - 2 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))
+        B = np.random.default_rng(8).normal(size=(2, mask.n_interior))
+        shifts = [0.0, 3.0]
+        got = _ops(mask).box_solver().solve(B, shifts)
+        for b, s, x in zip(B, shifts, got):
+            box = np.zeros((nx, ny))
+            box[ii, jj] = b
+            coef = dstn(box, type=1, norm="ortho") / (ex[:, None] + ey[None, :] + s)
+            want = dstn(coef, type=1, norm="ortho")[ii, jj]
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_cached_per_mask(self):
         mask = build_disc(1.0, 1 / 8)
         first = _ops(mask).box_solver()

@@ -242,6 +242,13 @@ class TestRecords:
         keys = lab.read_manifest_keys(manifest)
         assert rec.coordinate_key() in keys
 
+    def test_repeated_verify_adds_no_manifest_lines(self, tmp_path):
+        for _ in range(3):
+            lab.verify_wedge_bound(2.0, 100.0, 1 / 24, out=tmp_path)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert len(lines) == 1
+        assert (tmp_path / "wedge-bound.csv").exists()
+
 
 class TestSweep:
     def test_grid_and_resume(self, tmp_path):

@@ -155,6 +155,43 @@ class TestPreconditionedDescent:
         capped = minimize_partition(starts["seeded"], SolverConfig(max_iters=2))
         assert capped.stop_reason == "max_iters" and not capped.converged
 
+    @pytest.mark.parametrize("solver,start", [(minimize_free, "seeded"),
+                                              (minimize_partition, "single")])
+    def test_converged_result_is_a_fixed_point(self, solver, start):
+        # A solve that ends on a flat unit step (every species flat, for
+        # the partition solver) is a fixed point: a new solve from its
+        # result takes that null step at once and returns U unchanged.
+        # Coexisting partitions still end on the stall window, because the
+        # segregation projection undoes their steps across the interface.
+        mask = build_wedge(2.0, 1 / 24)
+        fam = scaled_family(logistic(), 2, (0.5,))
+        starts = dict(default_initializers(mask, fam, 300.0, coupling_quartic(2),
+                                           100.0, cfg=SolverConfig(restarts=0)))
+        res = solver(starts[start], SolverConfig())
+        again = solver(res.system, SolverConfig())
+        assert res.converged and again.converged
+        assert again.iters == 1
+        assert np.array_equal(again.system.stacked(), res.system.stacked())
+
+    def test_no_round_off_tail(self):
+        # The last steps of a converged solve sit at energy round-off,
+        # where Armijo fails on noise; unless a flat unit step ends the
+        # solve, each of them backtracks into the Euclidean fallback.
+        res = single_start_solve(lambda h: build_rectangle(1, 1, h), 1 / 64,
+                                 200.0, max_iters=60)
+        assert res.converged and res.stop_reason == "residual"
+        assert res.fallback_steps == 0
+        assert res.evals <= res.iters + 1
+
+    def test_flat_steps_need_the_residual_below_tolerance(self):
+        mask = build_rectangle(1, 1, 1 / 32)
+        starts = dict(default_initializers(mask, single_fam(), 200.0,
+                                           cfg=SolverConfig(restarts=0)))
+        res = minimize_free(starts["single"],
+                            SolverConfig(tol_residual=1e-30, max_iters=200))
+        assert not res.converged
+        assert res.stop_reason in ("max_iters", "step_underflow")
+
 
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
          "wedge": build_wedge(2.0, 1 / 20)}
