@@ -172,7 +172,7 @@ def _write_run_outputs(norm, mask, best, results, outdir, dump_fields, say,
     for res in results:
         verdict = "best" if res is best else ""
         records.append(lab.record_from_result(
-            "minimize", mask, res, seed, 0.0, eps=tuple(norm["eps"]),
+            "minimize", mask, res, seed, res.seconds, eps=tuple(norm["eps"]),
             verdict=verdict))
     lab.write_records_csv(records, os.path.join(outdir, "results.csv"))
     lab.append_new_manifest_keys(records, os.path.join(outdir, "manifest.txt"))

@@ -327,47 +327,57 @@ def single_species_energy(field: DensityField, i: int, fam: ScaledFamily,
         np.sum(F_eval(fam, i, field.values)))
 
 
-def _cg(matvec, b, tol=1e-10, maxiter=100000):
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    b2 = np.sqrt(rs)
-    if b2 == 0:
-        return x
-    for _ in range(maxiter):
-        Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * b2:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
-
-
 def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> float:
     """Smallest Dirichlet eigenvalue of -Laplacian on the mask.
 
-    Inverse power iteration; each inner solve runs conjugate gradients on
-    the SPD five-point matrix to relative residual 1e-10.
+    Block-size-one LOBPCG (Knyazev 2001) on the five-point matrix L,
+    preconditioned by the mask's box solve and started from the box's
+    first sine mode, which is the exact eigenvector on a rectangle.  Each
+    step takes the Rayleigh-Ritz minimum over span(x, w, p) from the 3x3
+    Gram matrices of the iterate x, the preconditioned residual w and the
+    previous direction p; p is dropped for a step whose Gram matrix is
+    not numerically positive definite.  The iteration stops once the
+    residual of the unit iterate satisfies |L x - mu x| <= sqrt(tol) * mu.
+    By Kato-Temple the Rayleigh quotient mu then exceeds the eigenvalue by
+    at most |L x - mu x|^2 / (lambda_2 - mu), that is by at most
+    tol * mu / (lambda_2 / mu - 1) relative to it, and never lies below it
+    beyond round-off.
     """
     L = _ops(mask).L
-    h2 = mask.h ** 2
-    matvec = lambda v: L @ v
-    n = mask.n_interior
-    v = np.ones(n) / np.sqrt(n)
-    lam_old = np.inf
-    for it in range(max_iters):
-        w = _cg(matvec, v)
-        nrm = float(np.linalg.norm(w))
-        v = w / nrm
-        lam = float(v @ (L @ v)) / h2
-        if abs(lam - lam_old) <= tol * abs(lam):
-            return lam
-        lam_old = lam
+    box = _ops(mask).box_solver()
+    x = np.outer(box.sx[:, 0], box.sy[:, 0]).ravel()[box.flat]
+    x /= np.linalg.norm(x)
+    Lx = L @ x
+    mu = float(x @ Lx)
+    p = Lp = None
+    for _ in range(max_iters):
+        r = Lx - mu * x
+        if np.linalg.norm(r) <= np.sqrt(tol) * mu:
+            return mu / mask.h ** 2
+        w = box.solve(r, 0.0)
+        w /= np.linalg.norm(w)
+        V, LV = [x, w], [Lx, L @ w]
+        if p is not None:
+            V.append(p)
+            LV.append(Lp)
+        G = np.array([[a @ b for b in V] for a in V])
+        try:
+            C = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            V, LV = V[:2], LV[:2]
+            C = np.linalg.cholesky(G[:2, :2])
+        A = np.array([[a @ b for b in LV] for a in V])
+        Ci = np.linalg.inv(C)
+        _, Y = np.linalg.eigh(Ci @ (0.5 * (A + A.T)) @ Ci.T)
+        c = Ci.T @ Y[:, 0]
+        p = sum(ci * v for ci, v in zip(c[1:], V[1:]))
+        Lp = sum(ci * v for ci, v in zip(c[1:], LV[1:]))
+        x = c[0] * x + p
+        x /= np.linalg.norm(x)
+        norm_p = np.linalg.norm(p)
+        p, Lp = (p / norm_p, Lp / norm_p) if norm_p > 0 else (None, None)
+        Lx = L @ x
+        mu = float(x @ Lx)
     raise RuntimeError(f"eigenvalue iteration did not converge in {max_iters} steps")
 
 

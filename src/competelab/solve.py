@@ -40,6 +40,7 @@ warm-starting each rate from the previous minimizer.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,6 +98,7 @@ class MinimizeResult:
     stop_reason: str | None = None  # residual, stall, max_iters, step_underflow
     fallback_steps: int = 0         # steps that fell back to the Euclidean one
     evals: int = 0                  # energy evaluations (per species: partition)
+    seconds: float = 0.0            # wall time of the solve
 
     @property
     def energy(self) -> float:
@@ -216,6 +218,7 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2,
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                   start_label: str = "custom") -> MinimizeResult:
     """H^1-preconditioned projected descent on the full coupled energy."""
+    t0 = time.perf_counter()
     mask = sys0.mask
     ops = _ops(mask)
     L, box = ops.L, ops.box_solver()
@@ -282,7 +285,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label, residual=resnorm,
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps, evals=evals)
+                          fallback_steps=fallback_steps, evals=evals,
+                          seconds=time.perf_counter() - t0)
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -450,6 +454,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     step is flat or on an energy stall of the segregated total.  The output is segregated nodewise by
     construction.
     """
+    t0 = time.perf_counter()
     mask = sys0.mask
     ops = _ops(mask)
     L, box = ops.L, ops.box_solver()
@@ -523,7 +528,8 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                           start_label=start_label,
                           residual=_projected_residual(U, grad, betas),
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps, evals=evals)
+                          fallback_steps=fallback_steps, evals=evals,
+                          seconds=time.perf_counter() - t0)
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

@@ -109,6 +109,14 @@ class TestMinimizeCommand:
         with open(out + "/manifest.txt") as fh:
             assert len(fh.read().splitlines()) == 1
 
+    def test_records_carry_wall_times(self, tmp_path):
+        out = str(tmp_path / "run")
+        path = write_config(tmp_path, "c.json", base_run_config(out))
+        assert main(["minimize", "--config", path, "--quiet"]) == 0
+        with open(out + "/results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(r["wall_time"]) > 0 for r in rows)
+
     def test_forced_nonconvergence_exits_2(self, tmp_path):
         out = str(tmp_path / "run")
         cfg = base_run_config(out)

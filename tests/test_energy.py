@@ -221,6 +221,32 @@ class TestLambda1:
         with pytest.raises(RuntimeError):
             lambda1(build_rectangle(1, 1, 1 / 16), tol=0.0, max_iters=2)
 
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 0.5)])
+    def test_rectangle_closed_form(self, width, height):
+        h = 1 / 32
+        nx, ny = round(width / h) - 1, round(height / h) - 1
+        want = (4 - 2 * np.cos(np.pi / (nx + 1))
+                - 2 * np.cos(np.pi / (ny + 1))) / h ** 2
+        got = lambda1(build_rectangle(width, height, h))
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("mask", [build_disc(0.4, 0.05), build_disc(1.0, 1 / 16),
+                                      build_wedge(3.0, 0.05), build_wedge(2.0, 1 / 24)],
+                             ids=["disc-0.4", "disc-1", "wedge-3", "wedge-2"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_curved_masks_match_dense_spectrum(self, mask, tol):
+        # The residual rule |Lx - mu x| <= sqrt(tol) mu bounds the error of
+        # the Rayleigh quotient mu by Kato-Temple: mu - l1 <= tol mu^2/(l2 - mu).
+        # Both sides carry round-off of about eps * |L| / l1, near 1e-12.
+        h2 = mask.h ** 2
+        l1, l2 = np.linalg.eigvalsh(_ops(mask).L.toarray())[:2] / h2
+        got = lambda1(mask, tol=tol)
+        slack = 1e-11 * l1
+        assert got >= l1 - slack
+        assert got - l1 <= tol * got ** 2 / (l2 - got) + slack
+        if tol <= 1e-12:
+            assert abs(got - l1) <= 1e-10 * l1
+
 
 class TestBoxSolver:
     @pytest.mark.parametrize("width,height,h", [(1, 1, 1 / 16), (1.5, 0.75, 1 / 12),

@@ -98,6 +98,13 @@ class TestExtinction:
         with pytest.raises(ValueError):
             lab.verify_extinction_identical(mask, 2, 5.0, FAST)
 
+    def test_records_carry_per_start_wall_times(self):
+        verdict = lab.verify_extinction_identical(build_rectangle(1, 1, 1 / 16),
+                                                  2, 60.0, FAST)
+        times = [r.wall_time for r in verdict.records]
+        assert len(times) > 1 and all(t > 0 for t in times)
+        assert len(set(times)) == len(times)  # measured, not one average
+
 
 class TestLimiti:
     def test_list_validation(self):
@@ -115,6 +122,23 @@ class TestLimiti:
         assert all(v >= verdict.details["target"] * 1.01 for v in vals)
         assert vals[1] < vals[0]
         assert verdict.details["monotone_ok"]
+        assert "fit_A" not in verdict.details
+
+    def test_limit_fit_recovers_three_term_law(self):
+        lams = [50.0, 100.0, 200.0, 400.0, 800.0]
+        vals = [-0.16 + 1.5 / np.sqrt(lam) - 3.0 / lam for lam in lams]
+        A, B, C = lab.limit_fit(lams, vals)
+        assert (A, B, C) == pytest.approx((0.16, 1.5, -3.0), rel=1e-10)
+        short = lab.limit_fit(lams, [0.85 * v for v in vals])
+        assert short == pytest.approx((0.85 * A, 0.85 * B, 0.85 * C), rel=1e-10)
+
+    def test_fit_in_details_with_three_rates(self):
+        mask = build_rectangle(1, 1, 1 / 16)
+        lams = [60.0, 150.0, 400.0]
+        d = lab.verify_limiti_asymptotics(mask, lams, FAST).details
+        assert (d["fit_A"], d["fit_B"], d["fit_C"]) == lab.limit_fit(lams, d["values"])
+        assert d["fit_A_rel_gap"] == pytest.approx(
+            abs(d["fit_A"] + d["target"]) / abs(d["target"]))
 
 
 class TestLambdaZero:
