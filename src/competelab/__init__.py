@@ -5,9 +5,9 @@ from .geometry import (Grid, DomainMask, build_rectangle, build_disc,
 from .model import (Nonlinearity, ScaledFamily, Coupling, logistic,
                     custom_nonlinearity, scaled_family, identical_family,
                     f_eval, F_eval, coupling_quartic, custom_coupling,
-                    adaptive_simpson, cutoff_phi)
-from .energy import (DensityField, SpeciesSystem, EnergyReport, laplacian,
-                     dirichlet_energy, energy_total, energy_gradient,
+                    cutoff_phi)
+from .energy import (DensityField, SpeciesSystem, EnergyReport, Objective,
+                     laplacian, dirichlet_energy, energy_total, energy_gradient,
                      single_species_energy, lambda1, rescaled_copy,
                      bilinear_sample, field_to_csv, field_to_pgm)
 from .solve import (SolverConfig, MinimizeResult, minimize_free,

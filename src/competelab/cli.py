@@ -13,6 +13,7 @@ Exit codes: 0 success / verification PASS, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,9 +31,6 @@ EXIT_CONFIG = 1
 EXIT_NOCONV = 2
 EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
-
-VERIFY_EXPERIMENTS = ("extinction", "eps-threshold", "limiti", "wedge-bound",
-                      "cutoff", "system2", "eig")
 
 _BESSEL_J01 = 2.404825557695773
 
@@ -77,9 +75,7 @@ def parse_domain(cfg) -> dict:
     return out
 
 
-_SOLVER_KEYS = {"max_iters", "tol_energy", "tol_residual", "step0",
-                "armijo_shrink", "armijo_c", "step_growth", "restarts",
-                "seed", "coexist_eta", "stall_window"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def parse_solver(cfg, seed_override=None) -> SolverConfig:
@@ -212,78 +208,83 @@ def _analytic_eigenvalue(domain: dict):
     return None
 
 
+def _domain(cfg: dict) -> DomainMask:
+    return lab.build_domain(parse_domain(_require(cfg, "domain")))
+
+
+def _floats(cfg: dict, key: str) -> list:
+    return [float(x) for x in _require(cfg, key)]
+
+
+def _verify_eig(cfg, solver, out, say):
+    domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
+                                             "width": 1.0, "height": 1.0}))
+    reference = cfg.get("reference", _analytic_eigenvalue(domain))
+    if reference is None:
+        raise ConfigError("reference",
+                          "config key \"reference\" required for this domain")
+    verdict = lab.verify_eigenvalue(lab.build_domain(domain), float(reference),
+                                    float(cfg.get("rel_tol", 0.01)), out=out)
+    say(f"lambda1 {lab.fmt(verdict.details['lambda1'])}  reference "
+        f"{lab.fmt(verdict.details['reference'])}  rel_err "
+        f"{lab.fmt(verdict.details['rel_err'])}")
+    return verdict
+
+
+# Experiment name -> (config keys, runner(cfg, solver, out, say)).  The
+# solver config is parsed only for experiments whose keys include it.
+VERIFY = {
+    "extinction": (
+        {"domain", "k", "lambda", "solver", "out"},
+        lambda cfg, solver, out, say: lab.verify_extinction_identical(
+            _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
+            solver, out=out)),
+    "eps-threshold": (
+        {"domain", "k", "lambda", "kappa", "eps_grid", "solver", "out"},
+        lambda cfg, solver, out, say: lab.scan_epsilon_threshold(
+            _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
+            float(_require(cfg, "kappa")), _floats(cfg, "eps_grid"), solver,
+            out=out)),
+    "limiti": (
+        {"domain", "lambdas", "solver", "out"},
+        lambda cfg, solver, out, say: lab.verify_limiti_asymptotics(
+            _domain(cfg), _floats(cfg, "lambdas"), solver, out=out)),
+    "wedge-bound": (
+        {"m", "lambda", "h", "solver", "out"},
+        lambda cfg, solver, out, say: lab.verify_wedge_bound(
+            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
+            float(_require(cfg, "h")), solver, out=out)),
+    "cutoff": (
+        {"m", "lambda", "h", "deltas", "solver", "out"},
+        lambda cfg, solver, out, say: lab.verify_cutoff_scaling(
+            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
+            float(_require(cfg, "h")), _floats(cfg, "deltas"), solver,
+            out=out)),
+    "system2": (
+        {"domain", "lambda", "eps2", "kappa_schedule", "solver", "out"},
+        lambda cfg, solver, out, say: lab.verify_system2(
+            _domain(cfg), float(_require(cfg, "lambda")),
+            float(_require(cfg, "eps2")), _floats(cfg, "kappa_schedule"),
+            solver, out=out)),
+    "eig": ({"domain", "reference", "rel_tol", "out"}, _verify_eig),
+}
+VERIFY_EXPERIMENTS = tuple(VERIFY)
+
+
 def cmd_verify(args) -> int:
     name = args.experiment
-    if name not in VERIFY_EXPERIMENTS:
+    if name not in VERIFY:
         print(f"unknown experiment \"{name}\"; choose from "
               + ", ".join(VERIFY_EXPERIMENTS), file=sys.stderr)
         return EXIT_CONFIG
     cfg = load_config(args.config) if args.config else {}
     outdir = args.out or cfg.get("out", "runs")
     say = (lambda *a: None) if args.quiet else print
-
-    if name == "eig":
-        allowed = {"domain", "reference", "rel_tol", "out"}
-        _check_unknown(cfg, allowed, "eig config")
-        domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
-                                                 "width": 1.0, "height": 1.0}))
-        reference = cfg.get("reference", _analytic_eigenvalue(domain))
-        if reference is None:
-            raise ConfigError("reference",
-                              "config key \"reference\" required for this domain")
-        verdict = lab.verify_eigenvalue(lab.build_domain(domain),
-                                        float(reference),
-                                        float(cfg.get("rel_tol", 0.01)),
-                                        out=outdir)
-        say(f"lambda1 {lab.fmt(verdict.details['lambda1'])}  reference "
-            f"{lab.fmt(verdict.details['reference'])}  rel_err "
-            f"{lab.fmt(verdict.details['rel_err'])}")
-    elif name == "extinction":
-        allowed = {"domain", "k", "lambda", "solver", "out"}
-        _check_unknown(cfg, allowed, "extinction config")
-        verdict = lab.verify_extinction_identical(
-            lab.build_domain(parse_domain(_require(cfg, "domain"))),
-            int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
-    elif name == "limiti":
-        allowed = {"domain", "lambdas", "solver", "out"}
-        _check_unknown(cfg, allowed, "limiti config")
-        verdict = lab.verify_limiti_asymptotics(
-            lab.build_domain(parse_domain(_require(cfg, "domain"))),
-            [float(x) for x in _require(cfg, "lambdas")],
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
-    elif name == "wedge-bound":
-        allowed = {"m", "lambda", "h", "solver", "out"}
-        _check_unknown(cfg, allowed, "wedge-bound config")
-        verdict = lab.verify_wedge_bound(
-            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")),
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
-    elif name == "cutoff":
-        allowed = {"m", "lambda", "h", "deltas", "solver", "out"}
-        _check_unknown(cfg, allowed, "cutoff config")
-        verdict = lab.verify_cutoff_scaling(
-            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")),
-            [float(d) for d in _require(cfg, "deltas")],
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
-    elif name == "eps-threshold":
-        allowed = {"domain", "k", "lambda", "kappa", "eps_grid", "solver", "out"}
-        _check_unknown(cfg, allowed, "eps-threshold config")
-        verdict = lab.scan_epsilon_threshold(
-            lab.build_domain(parse_domain(_require(cfg, "domain"))),
-            int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "kappa")),
-            [float(e) for e in _require(cfg, "eps_grid")],
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
-    else:  # system2
-        allowed = {"domain", "lambda", "eps2", "kappa_schedule", "solver", "out"}
-        _check_unknown(cfg, allowed, "system2 config")
-        verdict = lab.verify_system2(
-            lab.build_domain(parse_domain(_require(cfg, "domain"))),
-            float(_require(cfg, "lambda")), float(_require(cfg, "eps2")),
-            [float(x) for x in _require(cfg, "kappa_schedule")],
-            parse_solver(cfg.get("solver"), args.seed), out=outdir)
+    keys, runner = VERIFY[name]
+    _check_unknown(cfg, keys, f"{name} config")
+    solver = parse_solver(cfg.get("solver"), args.seed) if "solver" in keys \
+        else None
+    verdict = runner(cfg, solver, outdir, say)
 
     say(f"{verdict.experiment}: {verdict.status}")
     for key, val in sorted(verdict.details.items()):
@@ -327,50 +328,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="competing-species energy minimization laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def command(name, text, run, config_required=True, seed=True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=config_required,
                        help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the solver seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps")
-        p.add_argument("--dump-fields", action="store_true",
-                       help="write per-species field CSV/PGM dumps")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the solver seed")
         p.add_argument("--quiet", action="store_true")
+        return p
 
-    common(sub.add_parser("minimize", help="multistart free minimization"))
-    common(sub.add_parser("partition", help="segregated partition minimization"))
-    pv = sub.add_parser("verify", help="run a named verification experiment")
-    pv.add_argument("experiment", help="|".join(VERIFY_EXPERIMENTS))
-    common(pv, config_required=False)
-    common(sub.add_parser("sweep", help="run a parameter sweep grid"))
-    pe = sub.add_parser("eig", help="principal eigenvalue of a domain")
-    common(pe, config_required=False)
+    for name, text, run in (
+            ("minimize", "multistart free minimization", cmd_minimize),
+            ("partition", "segregated partition minimization", cmd_partition)):
+        command(name, text, run).add_argument(
+            "--dump-fields", action="store_true",
+            help="write per-species field CSV/PGM dumps")
+    command("verify", "run a named verification experiment", cmd_verify,
+            config_required=False).add_argument(
+                "experiment", help="|".join(VERIFY_EXPERIMENTS))
+    command("sweep", "run a parameter sweep grid", cmd_sweep).add_argument(
+        "--jobs", type=int, default=1, help="worker processes")
+    command("eig", "principal eigenvalue of a domain", cmd_verify,
+            config_required=False, seed=False).set_defaults(experiment="eig")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "minimize":
-            return cmd_minimize(args)
-        if args.command == "partition":
-            return cmd_partition(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "eig":
-            args.experiment = "eig"
-            return cmd_verify(args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

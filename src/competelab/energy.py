@@ -290,41 +290,91 @@ def laplacian(field: DensityField) -> DensityField:
     return DensityField(field.mask, -(L @ field.values) / h2)
 
 
+class Objective:
+    """The total energy of k densities on one mask: value, gradient, report.
+
+    Built from the model parameters, so one objective serves every iterate
+    of a solve; ``Objective.of(sys)`` takes them from a system.  Iterates
+    are (k, n) stacks.  Species energies are J_i(v) = 0.5 v.(L v) -
+    lam h^2 sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0
+    and there are two or more species to couple.
+    """
+
+    def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
+                 coupling: Coupling | None = None, kappa: float = 0.0):
+        self.L = _ops(mask).L
+        self.h2 = mask.h ** 2
+        self.fam, self.lam = fam, lam
+        self.coupling, self.kappa = coupling, kappa
+        self.coupled = kappa > 0 and coupling is not None and fam.k > 1
+
+    @classmethod
+    def of(cls, sys: SpeciesSystem) -> "Objective":
+        return cls(sys.mask, sys.fam, sys.lam, sys.coupling, sys.kappa)
+
+    def species(self, v: np.ndarray, i: int):
+        """J-energy of species i (0-based) at v, with the product L @ v."""
+        Lv = self.L @ v
+        e = 0.5 * float(v @ Lv) - self.lam * self.h2 * float(
+            np.sum(F_eval(self.fam, i + 1, v)))
+        return e, Lv
+
+    def value(self, U: np.ndarray):
+        """Total energy of U and the product L @ U, which ``grad`` reuses."""
+        LU = np.empty_like(U)
+        e = 0.0
+        for i in range(U.shape[0]):
+            e_i, LU[i] = self.species(U[i], i)
+            e += e_i
+        if self.coupled:
+            e += self.kappa * self.h2 * float(np.sum(self.coupling.H(U)))
+        return e, LU
+
+    def grad(self, U: np.ndarray, LU: np.ndarray) -> np.ndarray:
+        """Stack of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
+        g = np.empty_like(U)
+        for i in range(U.shape[0]):
+            g[i] = LU[i] / self.h2 - self.lam * f_eval(self.fam, i + 1, U[i])
+        if self.coupled:
+            g += self.kappa * self.coupling.dH(U)
+        return g
+
+    def report(self, U: np.ndarray) -> EnergyReport:
+        """Per-term breakdown of the energy of U.
+
+        The interaction h^2 sum H(U) is reported whenever a coupling is set
+        and k > 1, also at kappa = 0, where it does not enter the total.
+        """
+        dir_terms = np.array([0.5 * float(v @ (self.L @ v)) for v in U])
+        pot_terms = np.array([
+            self.lam * self.h2 * float(np.sum(F_eval(self.fam, i + 1, v)))
+            for i, v in enumerate(U)
+        ])
+        if self.coupling is not None and U.shape[0] > 1:
+            interaction = self.h2 * float(np.sum(self.coupling.H(U)))
+        else:
+            interaction = 0.0
+        total = float(dir_terms.sum() - pot_terms.sum()
+                      + self.kappa * interaction)
+        return EnergyReport(dirichlet=dir_terms, potential=pot_terms,
+                            interaction=interaction, kappa=self.kappa,
+                            total=total)
+
+
 def energy_total(sys: SpeciesSystem) -> EnergyReport:
-    h2 = sys.mask.h ** 2
-    dir_terms = np.array([dirichlet_energy(f) for f in sys.fields])
-    pot_terms = np.array([
-        sys.lam * h2 * float(np.sum(F_eval(sys.fam, i + 1, f.values)))
-        for i, f in enumerate(sys.fields)
-    ])
-    if sys.coupling is not None and sys.k > 1:
-        interaction = h2 * float(np.sum(sys.coupling.H(sys.stacked())))
-    else:
-        interaction = 0.0
-    total = float(dir_terms.sum() - pot_terms.sum() + sys.kappa * interaction)
-    return EnergyReport(dirichlet=dir_terms, potential=pot_terms,
-                        interaction=interaction, kappa=sys.kappa, total=total)
+    return Objective.of(sys).report(sys.stacked())
 
 
 def energy_gradient(sys: SpeciesSystem) -> np.ndarray:
     """Stack (k, n) of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
-    L = _ops(sys.mask).L
-    h2 = sys.mask.h ** 2
-    U = sys.stacked()
-    grad = np.empty_like(U)
-    for i in range(sys.k):
-        grad[i] = (L @ U[i]) / h2 - sys.lam * f_eval(sys.fam, i + 1, U[i])
-    if sys.kappa > 0 and sys.coupling is not None and sys.k > 1:
-        grad += sys.kappa * sys.coupling.dH(U)
-    return grad
+    obj, U = Objective.of(sys), sys.stacked()
+    return obj.grad(U, np.stack([obj.L @ u for u in U]))
 
 
 def single_species_energy(field: DensityField, i: int, fam: ScaledFamily,
                           lam: float) -> float:
     """J-energy of one species alone: Dirichlet minus its potential term."""
-    h2 = field.mask.h ** 2
-    return dirichlet_energy(field) - lam * h2 * float(
-        np.sum(F_eval(fam, i, field.values)))
+    return Objective(field.mask, fam, lam).species(field.values, i - 1)[0]
 
 
 def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> float:

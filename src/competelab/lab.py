@@ -9,6 +9,7 @@ reproduces its energy columns bit for bit.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -569,6 +570,8 @@ def verify_eigenvalue(mask: DomainMask, reference: float, rel_tol: float,
 
 
 def _maybe_write(verdict: LabVerdict, out) -> None:
+    """Write ``<experiment>.json`` (status and every detail) into ``out``,
+    and for a verdict with records ``<experiment>.csv`` and the manifest."""
     if out is None:
         return
     os.makedirs(str(out), exist_ok=True)
@@ -577,16 +580,13 @@ def _maybe_write(verdict: LabVerdict, out) -> None:
                           os.path.join(str(out), f"{verdict.experiment}.csv"))
         append_new_manifest_keys(verdict.records,
                                  os.path.join(str(out), "manifest.txt"))
-    else:
-        import json
-        path = os.path.join(str(out), f"{verdict.experiment}.json")
-        payload = {"experiment": verdict.experiment, "status": verdict.status,
-                   "details": {k: v for k, v in verdict.details.items()
-                               if isinstance(v, (int, float, str, bool))}}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, path)
+    path = os.path.join(str(out), f"{verdict.experiment}.json")
+    payload = {"experiment": verdict.experiment, "status": verdict.status,
+               "details": verdict.details}
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=1)
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +638,17 @@ def run_sweep_point(domain_spec: dict, k: int, lam: float, kappa: float,
 def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     """Execute a sweep grid with resume support and bounded parallelism.
 
-    Coordinates already present in the output manifest are skipped.  The
+    A coordinate is skipped when the output manifest holds its key and
+    the results CSV its row; one without a row is computed again.  The
     results CSV is atomically rewritten after every completed record, so
     an interrupted sweep never leaves a partial row.
     """
     os.makedirs(spec.outdir, exist_ok=True)
     results_path = os.path.join(spec.outdir, "results.csv")
     manifest_path = os.path.join(spec.outdir, "manifest.txt")
-    done_keys = read_manifest_keys(manifest_path)
     existing = read_records_csv(results_path) if os.path.exists(results_path) else []
     records = {rec.coordinate_key(): rec for rec in existing}
+    done_keys = read_manifest_keys(manifest_path) & records.keys()
 
     label = domain_label(build_domain(spec.domain))
     todo = []
@@ -663,7 +664,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
         records[rec.coordinate_key()] = rec
         ordered = [records[k] for k in sorted(records)]
         write_records_csv(ordered, results_path)
-        append_manifest(rec, manifest_path)
+        append_new_manifest_keys([rec], manifest_path)
         log(f"sweep point lam={rec.lam:g} kappa={rec.kappa:g} "
             f"eps={rec.eps} -> {rec.verdict}")
 

@@ -20,55 +20,27 @@ from typing import Callable
 
 import numpy as np
 
-QUAD_TOL = 1e-10
-QUAD_MAX_DEPTH = 30
-
-
-def adaptive_simpson(f: Callable, a: float, b: float,
-                     tol: float = QUAD_TOL, max_depth: int = QUAD_MAX_DEPTH) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance.
-
-    Raises RuntimeError when the bisection depth cap is hit before the
-    local error estimate drops below tolerance (pathological integrand).
-    """
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = float(f(xl)), float(f(xr))
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise RuntimeError("adaptive quadrature failed to converge")
-        return (recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = float(f(a)), float(f(0.5 * (a + b))), float(f(b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+# The antiderivative check of custom_nonlinearity: sample count on
+# (0, 2 beta], central-difference step relative to beta, and tolerance
+# relative to max(1, max |g|).
+ANTIDERIVATIVE_SAMPLES = 64
+ANTIDERIVATIVE_STEP = 1e-6
+ANTIDERIVATIVE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
     """Single-species growth law g with its structural constants.
 
-    ``G`` is an optional closed-form antiderivative of g (zero at zero);
-    when absent, potentials fall back to adaptive quadrature.  The
-    ``lipschitz`` flag is recorded but not verified.
+    ``G`` is the closed-form antiderivative of g (zero at zero), from which
+    every potential is evaluated.
     """
 
     g: Callable
     beta: float
     gmax: float
     alpha: float
-    G: Callable | None = None
-    lipschitz: bool = False
+    G: Callable
     name: str = "custom"
 
 
@@ -84,18 +56,19 @@ def logistic() -> Nonlinearity:
         return tp * tp / 2.0 - tp ** 3 / 3.0
 
     return Nonlinearity(g=g, beta=1.0, gmax=0.25, alpha=1.0 / 6.0, G=G,
-                        lipschitz=True, name="logistic")
+                        name="logistic")
 
 
-def custom_nonlinearity(g: Callable, beta: float, gmax: float,
-                        G: Callable | None = None, lipschitz: bool = False,
+def custom_nonlinearity(g: Callable, G: Callable, beta: float, gmax: float,
                         name: str = "custom") -> Nonlinearity:
-    """Wrap a user-supplied law, checking its structural assumptions.
+    """Wrap a user-supplied law and its antiderivative, checking both.
 
     The checks are numerical: g must vanish on sampled non-positive
-    points, satisfy |g(t)/t - 1| < 0.05 at t = 1e-6 (unit right slope),
-    be negative at sampled points beyond beta, and integrate to a
-    positive alpha over [0, beta].
+    points, satisfy |g(t)/t - 1| < 0.05 at t = 1e-6 (unit right slope) and
+    be negative at sampled points beyond beta.  G must vanish at 0 and
+    its central-difference slope must match g at sampled points of
+    (0, 2 beta], which ties alpha = G(beta) to the integral of g over
+    [0, beta]; alpha must be positive.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -108,11 +81,21 @@ def custom_nonlinearity(g: Callable, beta: float, gmax: float,
     for s in (1.01 * beta, 1.5 * beta, 3.0 * beta):
         if float(g(s)) >= 0:
             raise ValueError("growth law must be negative beyond beta")
-    alpha = adaptive_simpson(g, 0.0, beta)
+    if float(G(0.0)) != 0.0:
+        raise ValueError("antiderivative must vanish at 0")
+    s = np.linspace(0.0, 2.0 * beta, ANTIDERIVATIVE_SAMPLES + 1)[1:]
+    d = ANTIDERIVATIVE_STEP * beta
+    slope = (np.asarray(G(s + d), dtype=float)
+             - np.asarray(G(s - d), dtype=float)) / (2.0 * d)
+    gs = np.asarray(g(s), dtype=float)
+    if np.any(np.abs(slope - gs)
+              > ANTIDERIVATIVE_TOL * max(1.0, float(np.abs(gs).max()))):
+        raise ValueError("antiderivative's slope does not match the growth law")
+    alpha = float(G(beta))
     if alpha <= 0:
         raise ValueError("integral of the growth law over [0, beta] must be positive")
     return Nonlinearity(g=g, beta=float(beta), gmax=float(gmax), alpha=alpha,
-                        G=G, lipschitz=lipschitz, name=name)
+                        G=G, name=name)
 
 
 @dataclass(frozen=True)
@@ -178,19 +161,11 @@ def f_eval(fam: ScaledFamily, i: int, s):
 def F_eval(fam: ScaledFamily, i: int, s):
     """Potential of species i: the integral of its law from 0 to s.
 
-    Uses the base law's closed-form antiderivative when available
-    (F_i(s) = (a/c) G(c s), which is G(c s)/k beyond the first species),
-    adaptive quadrature otherwise.
+    From the base law's antiderivative: F_i(s) = (a/c) G(c s), which is
+    G(c s)/k beyond the first species.
     """
     a, c = fam._scale(i)
-    if fam.base.G is not None:
-        return (a / c) * fam.base.G(c * np.asarray(s, dtype=float))
-    fi = lambda t: f_eval(fam, i, t)
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.ndim == 0:
-        return adaptive_simpson(fi, 0.0, float(s_arr))
-    return np.array([adaptive_simpson(fi, 0.0, float(v)) for v in s_arr.ravel()]
-                    ).reshape(s_arr.shape)
+    return (a / c) * fam.base.G(c * np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)

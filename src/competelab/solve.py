@@ -16,7 +16,7 @@ projection in a non-diagonal metric need not descend.  Accepted steps
 therefore never increase the energy and every iterate sits in the box
 [0, beta_i] (the species caps double as a priori sup bounds).
 
-A unit trial is flat when its model lies in (-tol_energy * max(1, |E|), 0]:
+A unit trial is flat when its model lies in (-TOL_ENERGY * max(1, |E|), 0]:
 even the full step predicts a drop below the stall threshold.  A flat
 step is a null step (no evaluation, no backtracking), and since it
 leaves U, its gradient and its direction as they were, every later
@@ -26,13 +26,13 @@ model, where the projection blocks descent, is never flat.
 The free minimizer steps on the total coupled energy.  It stops on a
 flat step once the projected residual is below tolerance (above it
 flat steps take the full line search, which cannot spin), or when the
-energy has stalled for ``stall_window`` steps with the residual below
+energy has stalled for STALL_WINDOW steps with the residual below
 tolerance.  The partition solver alternates one step per species on its
 own single-species energy with a hard segregation projection (largest
 density keeps the node, ties go to the lowest index), so its output has
 pairwise disjoint supports by construction; a flat species keeps its
 density, and the solve stops when every species is flat or the total
-energy has stalled for ``stall_window`` iterations.
+energy has stalled for STALL_WINDOW iterations.
 
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer.
@@ -46,11 +46,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .energy import (DensityField, SpeciesSystem, _ops, energy_total,
-                     rescaled_copy)
+from .energy import (DensityField, Objective, SpeciesSystem, _ops,
+                     energy_total, rescaled_copy)
 from .geometry import DomainMask
-from .model import Coupling, ScaledFamily, F_eval, cutoff_phi, f_eval
+from .model import Coupling, ScaledFamily, cutoff_phi
 
+# Relative energy drop below which a step counts as stalled (and a unit
+# trial whose model predicts less is flat), and the number of stalled
+# steps that ends a solve.
+TOL_ENERGY = 1e-10
+STALL_WINDOW = 20
+# Armijo sufficient-decrease factor and backtracking factor.
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+# The persistent Euclidean step: its start in units of h^2 (a power of two,
+# so STEP0 * h^2 is exact), its growth after an accepted move, its floor.
+STEP0 = 1 / 8
+STEP_GROWTH = 1.1
 STEP_UNDERFLOW = 1e-18
 # Smallest trial step along the preconditioned direction; below it the
 # iteration takes the Euclidean step instead.
@@ -60,24 +72,14 @@ PRECOND_FLOOR = 1e-3
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 40000
-    tol_energy: float = 1e-10
     tol_residual: float | None = None   # None -> 1e-6 * lam
-    step0: float | None = None          # None -> h^2 / 8
-    armijo_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    step_growth: float = 1.1
     restarts: int = 8
     seed: int = 0
     coexist_eta: float | None = None    # None -> 1e-3 * beta_i * sqrt(|Omega|)
-    stall_window: int = 20
 
     def __post_init__(self):
-        if self.tol_energy <= 0:
-            raise ValueError("tol_energy must be positive")
         if self.tol_residual is not None and self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if not 0 < self.armijo_shrink < 1:
-            raise ValueError("armijo shrink factor must lie in (0, 1)")
         if self.coexist_eta is not None and self.coexist_eta <= 0:
             raise ValueError("coexist_eta must be positive")
 
@@ -121,34 +123,6 @@ def alive_flags(sys: SpeciesSystem, cfg: SolverConfig) -> list:
     return out
 
 
-def _species_energy(v, L, h2, fam, lam, i):
-    """J-energy of species i (0-based) at v, with the product L @ v."""
-    Lv = L @ v
-    e = 0.5 * float(v @ Lv) - lam * h2 * float(np.sum(F_eval(fam, i + 1, v)))
-    return e, Lv
-
-
-def _stack_energy(U, L, h2, fam, lam, coupling, kappa):
-    """Energy of the stack U and its product L @ U, which the gradient reuses."""
-    LU = np.empty_like(U)
-    e = 0.0
-    for i in range(U.shape[0]):
-        e_i, LU[i] = _species_energy(U[i], L, h2, fam, lam, i)
-        e += e_i
-    if kappa > 0 and coupling is not None and U.shape[0] > 1:
-        e += kappa * h2 * float(np.sum(coupling.H(U)))
-    return e, LU
-
-
-def _stack_gradient(U, LU, h2, fam, lam, coupling, kappa):
-    g = np.empty_like(U)
-    for i in range(U.shape[0]):
-        g[i] = LU[i] / h2 - lam * f_eval(fam, i + 1, U[i])
-    if kappa > 0 and coupling is not None and U.shape[0] > 1:
-        g += kappa * coupling.dH(U)
-    return g
-
-
 def _projected_residual(U, grad, betas):
     """Sup norm of the box-projected first-order optimality residual."""
     res = grad.copy()
@@ -169,19 +143,19 @@ def _h1_shifts(fam, lam, h2):
     return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
 
 
-def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2,
+def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
                     null_ok=False):
     """One box-projected Armijo step from U at energy E.
 
     Tries the preconditioned direction D from t = 1, accepting
-    clip(U + t D) once the energy falls by ``armijo_c`` times the linear
+    clip(U + t D) once the energy falls by ARMIJO_C times the linear
     model h^2 * sum(grad * (U_new - U)) < 0.  Projection under a
     non-diagonal metric need not descend, so when t passes PRECOND_FLOOR
     the Euclidean step clip(U - step * grad) with the caller's persistent
     step size is taken instead, under the plain Armijo test.
 
     With ``null_ok`` a flat unit trial, whose model lies in
-    (-tol_energy * max(1, |E|), 0], is a null step: even the full step
+    (-TOL_ENERGY * max(1, |E|), 0], is a null step: even the full step
     predicts a drop below the stall test's threshold, so nothing is
     evaluated and U is returned as it is.  A positive model, where the
     projection blocks descent, is never flat.
@@ -196,22 +170,22 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, cfg, h2,
         U_new = np.clip(U + t * D, 0.0, cap)
         model = h2 * float(np.sum(grad * (U_new - U)))
         if (null_ok and t == 1.0
-                and -cfg.tol_energy * max(1.0, abs(E)) < model <= 0):
+                and -TOL_ENERGY * max(1.0, abs(E)) < model <= 0):
             return U, E, None, step, "flat"
         if model < 0:
             E_new, LU = value(U_new)
-            if E_new <= E + cfg.armijo_c * model:
+            if E_new <= E + ARMIJO_C * model:
                 return U_new, E_new, LU, step, "precond"
-        t *= cfg.armijo_shrink
+        t *= ARMIJO_SHRINK
     while step > STEP_UNDERFLOW:
         U_new = np.clip(U - step * grad, 0.0, cap)
         E_new, LU = value(U_new)
         move = float(np.sum((U_new - U) ** 2))
-        if E_new <= E - cfg.armijo_c * (h2 / step) * move:
+        if E_new <= E - ARMIJO_C * (h2 / step) * move:
             if move > 0:
-                step = min(step * cfg.step_growth, step_cap)
+                step = min(step * STEP_GROWTH, step_cap)
             return U_new, E_new, LU, step, "euclid"
-        step *= cfg.armijo_shrink
+        step *= ARMIJO_SHRINK
     return None, E, None, step, "underflow"
 
 
@@ -219,15 +193,13 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                   start_label: str = "custom") -> MinimizeResult:
     """H^1-preconditioned projected descent on the full coupled energy."""
     t0 = time.perf_counter()
-    mask = sys0.mask
-    ops = _ops(mask)
-    L, box = ops.L, ops.box_solver()
-    h2 = mask.h ** 2
-    fam, lam, coupling, kappa = sys0.fam, sys0.lam, sys0.coupling, sys0.kappa
+    box = _ops(sys0.mask).box_solver()
+    obj = Objective.of(sys0)
+    h2, fam, lam = obj.h2, sys0.fam, sys0.lam
     betas = fam.betas
     caps = betas[:, None]
     tol_res = cfg.tol_residual if cfg.tol_residual is not None else 1e-6 * lam
-    step = cfg.step0 if cfg.step0 is not None else h2 / 8.0
+    step = STEP0 * h2
     shifts = _h1_shifts(fam, lam, h2)
 
     evals = 0
@@ -235,7 +207,7 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     def value(V):
         nonlocal evals
         evals += 1
-        return _stack_energy(V, L, h2, fam, lam, coupling, kappa)
+        return obj.value(V)
 
     U = np.clip(sys0.stacked(), 0.0, caps)
     E, LU = value(U)
@@ -251,13 +223,13 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     resnorm = np.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = _stack_gradient(U, LU, h2, fam, lam, coupling, kappa)
+        grad = obj.grad(U, LU)
         resnorm = _projected_residual(U, grad, betas)
         D = -h2 * box.mask_solve(grad, shifts)
         # A null step repeats forever, so it ends the solve at once; above
         # the residual tolerance it is not allowed, or it would spin.
         U_new, E_new, LU_new, step, how = _projected_step(
-            value, U, E, grad, D, caps, step, step_cap, cfg, h2,
+            value, U, E, grad, D, caps, step, step_cap, h2,
             null_ok=resnorm <= tol_res)
         fallback_steps += how in ("euclid", "underflow")
         if how == "flat":
@@ -270,11 +242,11 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
             break
 
         drop = E - E_new
-        stall = stall + 1 if drop < cfg.tol_energy * max(1.0, abs(E)) else 0
+        stall = stall + 1 if drop < TOL_ENERGY * max(1.0, abs(E)) else 0
         U, E, LU = U_new, E_new, LU_new
         energies.append(E)
 
-        if stall >= cfg.stall_window and resnorm <= tol_res:
+        if stall >= STALL_WINDOW and resnorm <= tol_res:
             converged = True
             stop_reason = "residual"
             break
@@ -451,15 +423,13 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     Ignores the competition rate: each species takes one projected step
     on its own single-species energy, then the segregation projection
     restores pairwise disjoint supports.  Terminates when every species'
-    step is flat or on an energy stall of the segregated total.  The output is segregated nodewise by
-    construction.
+    step is flat or on an energy stall of the segregated total.  The
+    output is segregated nodewise by construction.
     """
     t0 = time.perf_counter()
-    mask = sys0.mask
-    ops = _ops(mask)
-    L, box = ops.L, ops.box_solver()
-    h2 = mask.h ** 2
-    fam, lam = sys0.fam, sys0.lam
+    box = _ops(sys0.mask).box_solver()
+    obj = Objective(sys0.mask, sys0.fam, sys0.lam)   # no coupling
+    h2, fam, lam = obj.h2, sys0.fam, sys0.lam
     betas = fam.betas
     k = fam.k
 
@@ -468,7 +438,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     def species_value(v, i):
         nonlocal evals
         evals += 1
-        return _species_energy(v, L, h2, fam, lam, i)
+        return obj.species(v, i)
 
     def energies_of(V):
         """Per-species energies of V and the product L @ V."""
@@ -482,7 +452,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
         raise ValueError("non-finite energy at the initial iterate")
 
     shifts = _h1_shifts(fam, lam, h2)
-    step0 = cfg.step0 if cfg.step0 is not None else h2 / 8.0
+    step0 = STEP0 * h2
     steps = np.full(k, step0)
     step_cap = 1e9 * step0
     energies = [E]
@@ -492,14 +462,14 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = _stack_gradient(U, LU, h2, fam, lam, None, 0.0)
+        grad = obj.grad(U, LU)
         D = -h2 * box.mask_solve(grad, shifts)
         flat = 0
         for i in range(k):
             value = lambda v, i=i: species_value(v, i)
             v_new, _, _, steps[i], how = _projected_step(
                 value, U[i], Es[i], grad[i], D[i], betas[i], steps[i],
-                step_cap, cfg, h2, null_ok=True)
+                step_cap, h2, null_ok=True)
             fallback_steps += how in ("euclid", "underflow")
             flat += how == "flat"
             if v_new is not None:
@@ -512,17 +482,17 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
         U = segregation_projection(U)
         Es, LU = energies_of(U)
         E_new = float(Es.sum())
-        stall = stall + 1 if abs(E - E_new) < cfg.tol_energy * max(1.0, abs(E)) else 0
+        stall = stall + 1 if abs(E - E_new) < TOL_ENERGY * max(1.0, abs(E)) else 0
         E = E_new
         energies.append(E)
-        if stall >= cfg.stall_window:
+        if stall >= STALL_WINDOW:
             converged = True
             stop_reason = "stall"
             break
 
     final = sys0.replace_values(U)
     report = energy_total(final)
-    grad = _stack_gradient(U, LU, h2, fam, lam, None, 0.0)
+    grad = obj.grad(U, LU)
     return MinimizeResult(system=final, report=report, iters=it,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label,

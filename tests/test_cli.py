@@ -83,6 +83,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_solver({"tol_energy": -1.0})
 
+    @pytest.mark.parametrize("key", ["tol_energy", "step0", "armijo_shrink",
+                                     "armijo_c", "step_growth", "stall_window"])
+    def test_solver_constant_is_not_a_key(self, tmp_path, capsys, key):
+        cfg = base_run_config(str(tmp_path / "o"))
+        cfg["solver"][key] = 1
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        assert f"unknown config key \"{key}\" in solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eig", "--jobs", "2"],
+        ["verify", "eig", "--dump-fields"],
+        ["eig", "--seed", "3"],
+        ["sweep", "--config", "s.json", "--dump-fields"],
+        ["minimize", "--config", "c.json", "--jobs", "2"],
+        ["partition", "--config", "c.json", "--jobs", "2"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestMinimizeCommand:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):
@@ -194,6 +216,21 @@ class TestVerifyCommand:
         assert rc == 0
         assert (tmp_path / "wb" / "wedge-bound.csv").exists()
 
+    def test_details_written_with_records(self, tmp_path):
+        cfg = {"domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
+                          "h": 1 / 16},
+               "lambdas": [100.0, 200.0, 400.0], "solver": {"restarts": 0}}
+        out = tmp_path / "lim"
+        rc = main(["verify", "limiti", "--config",
+                   write_config(tmp_path, "l.json", cfg), "--out", str(out),
+                   "--quiet"])
+        payload = json.loads((out / "limiti.json").read_text())
+        assert rc == {"PASS": 0, "FAIL": 3}[payload["status"]]
+        details = payload["details"]
+        assert len(details["values"]) == 3 and "fit_A" in details
+        assert details["lam_list"] == [100.0, 200.0, 400.0]
+        assert (out / "limiti.csv").exists()
+
     def test_system2_inconclusive_exit_4(self, tmp_path):
         cfg = {"domain": {"kind": "wedge", "m": 2.0, "h": 1 / 24},
                "lambda": 200.0, "eps2": 0.6, "kappa_schedule": [10, 100],
@@ -233,6 +270,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path, "--quiet"]) == 0
         assert main(["sweep", "--config", path]) == 0
         assert "0 computed, 4 skipped" in capsys.readouterr().out
+
+    def test_resume_recomputes_a_missing_row(self, tmp_path):
+        out = str(tmp_path / "sw")
+        path = write_config(tmp_path, "s.json", self.sweep_config(out))
+        assert main(["sweep", "--config", path, "--quiet"]) == 0
+        with open(out + "/results.csv") as fh:
+            full = fh.readlines()
+        with open(out + "/manifest.txt") as fh:
+            manifest = fh.read()
+        with open(out + "/results.csv", "w") as fh:
+            fh.writelines(full[:2] + full[3:])   # drop one record
+        assert main(["sweep", "--config", path, "--quiet"]) == 0
+        with open(out + "/results.csv") as fh:
+            rows = fh.readlines()
+        strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
+        assert strip(rows) == strip(full)
+        with open(out + "/manifest.txt") as fh:
+            assert fh.read() == manifest
 
     def test_determinism_energy_columns(self, tmp_path):
         out_a = str(tmp_path / "a")

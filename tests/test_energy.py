@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from competelab.energy import (MASK_SOLVE_TOL, DensityField, SpeciesSystem,
-                               _ops, bilinear_sample, dirichlet_energy,
+from competelab.energy import (MASK_SOLVE_TOL, DensityField, Objective,
+                               SpeciesSystem, _ops, bilinear_sample, dirichlet_energy,
                                energy_gradient, energy_total, field_to_csv,
                                field_to_pgm, lambda1, laplacian, rescaled_copy,
                                single_species_energy)
@@ -201,6 +201,55 @@ class TestSingleSpeciesEnergy:
                 v = rng.uniform(0, fam.betas[i - 1], mask.n_interior)
                 J = single_species_energy(DensityField(mask, v), i, fam, lam)
                 assert J >= floor * 1.01
+
+
+SEAM_CASES = [(1, 0.0), (2, 0.0), (2, 250.0), (3, 40.0)]
+
+
+class TestObjective:
+    """The solvers' objective against the public energy functions."""
+
+    @pytest.mark.parametrize("k,kappa", SEAM_CASES)
+    @pytest.mark.parametrize("build", [lambda: build_rectangle(1, 1, 1 / 16),
+                                       lambda: build_disc(0.8, 0.05),
+                                       lambda: build_wedge(2.0, 0.05)],
+                             ids=["square", "disc", "wedge"])
+    def test_value_and_grad_match(self, build, k, kappa):
+        sys = make_system(build(), k, 90.0, kappa, rng=np.random.default_rng(k))
+        obj = Objective.of(sys)
+        U = sys.stacked()
+        E, LU = obj.value(U)
+        assert E == pytest.approx(energy_total(sys).total, rel=1e-12)
+        assert np.array_equal(obj.grad(U, LU), energy_gradient(sys))
+        assert np.array_equal(LU, np.stack([obj.L @ u for u in U]))
+
+    @pytest.mark.parametrize("k,kappa", SEAM_CASES)
+    def test_report_is_energy_total(self, k, kappa):
+        sys = make_system(build_disc(0.8, 0.05), k, 90.0, kappa)
+        rep, ref = Objective.of(sys).report(sys.stacked()), energy_total(sys)
+        assert rep.total == ref.total
+        assert rep.interaction == ref.interaction
+        assert np.array_equal(rep.dirichlet, ref.dirichlet)
+        assert np.array_equal(rep.potential, ref.potential)
+
+    def test_species_terms_are_single_species_energy(self):
+        sys = make_system(build_wedge(2.0, 0.05), 3, 70.0, 15.0)
+        obj = Objective(sys.mask, sys.fam, sys.lam)
+        for i, f in enumerate(sys.fields):
+            e, Lv = obj.species(f.values, i)
+            assert e == single_species_energy(f, i + 1, sys.fam, sys.lam)
+            assert np.array_equal(Lv, obj.L @ f.values)
+
+    def test_uncoupled_objective_ignores_kappa(self):
+        sys = make_system(build_rectangle(1, 1, 0.1), 2, 90.0, 300.0)
+        U = sys.stacked()
+        bare = Objective(sys.mask, sys.fam, sys.lam)
+        E, LU = bare.value(U)
+        assert E == sum(bare.species(u, i)[0] for i, u in enumerate(U))
+        coupled = Objective.of(sys)
+        assert coupled.value(U)[0] > E
+        assert np.array_equal(bare.grad(U, LU) + 300.0 * sys.coupling.dH(U),
+                              coupled.grad(U, LU))
 
 
 class TestLambda1:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from competelab.model import (Coupling, F_eval, ScaledFamily, adaptive_simpson,
+from competelab.model import (Coupling, F_eval, ScaledFamily,
                               coupling_quartic, custom_coupling,
                               custom_nonlinearity, cutoff_phi, f_eval,
                               identical_family, logistic, scaled_family)
@@ -72,15 +72,12 @@ class TestScaledFamily:
 
     def test_closed_form_matches_quadrature(self):
         fam = scaled_family(logistic(), 3, (0.4, 0.2))
-        bare = custom_nonlinearity(logistic().g, beta=1.0, gmax=0.25, G=None,
-                                   name="logistic-bare")
-        fam_bare = scaled_family(bare, 3, (0.4, 0.2))
         rng = np.random.default_rng(5)
         for i in (1, 2, 3):
             cap = fam.betas[i - 1]
             for s in rng.uniform(0.0, 2 * cap, 34):
-                assert F_eval(fam_bare, i, s) == pytest.approx(
-                    F_eval(fam, i, float(s)), abs=1e-9)
+                quad = composite_simpson(lambda t: f_eval(fam, i, t), 0.0, s, 64)
+                assert F_eval(fam, i, float(s)) == pytest.approx(quad, abs=1e-9)
 
     def test_vanishes_on_negatives(self):
         fam = scaled_family(logistic(), 3, (0.5, 0.1))
@@ -161,28 +158,52 @@ class TestQuarticCoupling:
             coupling_quartic(1)
 
 
+def cubic_law():
+    """g(s) = s - s^3 for s > 0 and its antiderivative s^2/2 - s^4/4."""
+    g = lambda s: np.where(np.asarray(s) > 0,
+                           np.asarray(s) - np.asarray(s, dtype=float) ** 3,
+                           0.0)
+    G = lambda s: (np.maximum(np.asarray(s, dtype=float), 0.0) ** 2 / 2
+                   - np.maximum(np.asarray(s, dtype=float), 0.0) ** 4 / 4)
+    return g, G
+
+
 class TestCustomValidation:
     def test_good_custom_law(self):
-        g = lambda s: np.where(np.asarray(s) > 0,
-                               np.asarray(s) - np.asarray(s, dtype=float) ** 3,
-                               0.0)
-        nl = custom_nonlinearity(g, beta=1.0, gmax=float(2 / (3 * np.sqrt(3))))
+        g, G = cubic_law()
+        nl = custom_nonlinearity(g, G=G, beta=1.0,
+                                 gmax=float(2 / (3 * np.sqrt(3))))
         assert nl.alpha == pytest.approx(0.25, abs=1e-9)
+        assert nl.alpha == pytest.approx(composite_simpson(g, 0.0, 1.0),
+                                         abs=1e-9)
+
+    def test_antiderivative_of_other_law_rejected(self):
+        # The logistic law's potential with the cubic law: both vanish at 0
+        # and are positive at beta = 1, so only the slope check tells.
+        g, _ = cubic_law()
+        with pytest.raises(ValueError, match="slope"):
+            custom_nonlinearity(g, G=logistic().G, beta=1.0, gmax=0.4)
+        with pytest.raises(ValueError, match="vanish at 0"):
+            custom_nonlinearity(g, G=lambda s: cubic_law()[1](s) + 1.0,
+                                beta=1.0, gmax=0.4)
 
     def test_wrong_slope_rejected(self):
         g = lambda s: np.where(np.asarray(s) > 0, 2.0 * np.asarray(s), 0.0)
+        G = lambda s: np.maximum(np.asarray(s, dtype=float), 0.0) ** 2
         with pytest.raises(ValueError):
-            custom_nonlinearity(g, beta=1.0, gmax=2.0)
+            custom_nonlinearity(g, G=G, beta=1.0, gmax=2.0)
 
     def test_nonzero_on_negatives_rejected(self):
         g = lambda s: np.asarray(s, dtype=float)
+        G = lambda s: np.asarray(s, dtype=float) ** 2 / 2
         with pytest.raises(ValueError):
-            custom_nonlinearity(g, beta=1.0, gmax=1.0)
+            custom_nonlinearity(g, G=G, beta=1.0, gmax=1.0)
 
     def test_positive_beyond_cap_rejected(self):
         g = lambda s: np.where(np.asarray(s) > 0, np.asarray(s, dtype=float), 0.0)
+        G = lambda s: np.maximum(np.asarray(s, dtype=float), 0.0) ** 2 / 2
         with pytest.raises(ValueError):
-            custom_nonlinearity(g, beta=1.0, gmax=1.0)
+            custom_nonlinearity(g, G=G, beta=1.0, gmax=1.0)
 
     def test_custom_coupling_checks(self):
         k = 2
@@ -193,25 +214,6 @@ class TestCustomValidation:
         ok = coupling_quartic(2)
         wrapped = custom_coupling(ok.H, ok.dH, 2, rng=0)
         assert wrapped.kind == "custom"
-
-
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(
-            1 / 3, abs=1e-12)
-
-    def test_matches_oracle_on_oscillatory(self):
-        f = lambda x: np.sin(7 * x) * np.exp(-x)
-        assert adaptive_simpson(f, 0.0, 2.0) == pytest.approx(
-            composite_simpson(f, 0.0, 2.0, 8192), abs=1e-9)
-
-    def test_depth_cap_raises(self):
-        step = lambda x: 1.0 if x > 0.123456789 else 0.0
-        with pytest.raises(RuntimeError):
-            adaptive_simpson(step, 0.0, 1.0, tol=1e-16, max_depth=3)
-
-    def test_empty_interval(self):
-        assert adaptive_simpson(lambda x: x, 2.0, 2.0) == 0.0
 
 
 class TestCutoff:

@@ -416,10 +416,6 @@ class TestAliveFlags:
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
-            SolverConfig(tol_energy=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_shrink=1.0)
-        with pytest.raises(ValueError):
             SolverConfig(coexist_eta=-1.0)
 
     def test_with_override(self):
