@@ -53,11 +53,8 @@ def _check_unknown(cfg: dict, allowed, where: str):
             raise ConfigError(key, f"unknown config key \"{key}\" in {where}")
 
 
-_DOMAIN_KEYS = {
-    "rectangle": {"kind", "h", "width", "height"},
-    "disc": {"kind", "h", "radius"},
-    "wedge": {"kind", "h", "m"},
-}
+_DOMAIN_KEYS = {kind: {"kind", "h", *defaults}
+                for kind, (_, defaults, _) in lab.DOMAIN_KINDS.items()}
 
 
 def parse_domain(cfg) -> dict:
@@ -105,8 +102,8 @@ def normalize_run_config(cfg: dict) -> dict:
     Normalization is idempotent: re-parsing a serialized normal form
     reproduces it exactly.
     """
-    allowed = {"domain", "k", "lambda", "kappa", "eps", "identical",
-               "coupling", "nonlinearity", "solver", "out"}
+    allowed = {"domain", "k", "lambda", "kappa", "eps", "identical", "solver",
+               "out"}
     _check_unknown(cfg, allowed, "run config")
     domain = parse_domain(_require(cfg, "domain"))
     k = int(cfg.get("k", 1))
@@ -124,58 +121,30 @@ def normalize_run_config(cfg: dict) -> dict:
                           "\"identical\" is set")
     if not identical and len(eps) != k - 1:
         raise ConfigError("eps", f"config key \"eps\" must list {k - 1} scales")
-    nl = cfg.get("nonlinearity", "logistic")
-    if nl != "logistic":
-        raise ConfigError("nonlinearity",
-                          "only the \"logistic\" nonlinearity is configurable")
-    coup = cfg.get("coupling", "quartic")
-    if coup != "quartic":
-        raise ConfigError("coupling", "only the \"quartic\" coupling is configurable")
     solver = dict(cfg.get("solver", {}))
     _check_unknown(solver, _SOLVER_KEYS, "solver")
     return {"domain": domain, "k": k, "lambda": lam, "kappa": kappa,
-            "eps": eps, "identical": identical, "coupling": coup,
-            "nonlinearity": nl, "solver": solver, "out": cfg.get("out", "runs")}
+            "eps": eps, "identical": identical, "solver": solver,
+            "out": cfg.get("out", "runs")}
 
 
 def _build_problem(norm: dict, seed_override=None):
     mask = lab.build_domain(norm["domain"])
     k = norm["k"]
-    if norm["identical"]:
-        fam = ScaledFamily(base=logistic(), k=k, identical=True)
-    else:
-        fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]))
+    fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),
+                       identical=norm["identical"])
     coupling = coupling_quartic(k) if k > 1 else None
     solver = parse_solver(norm["solver"], seed_override)
     return mask, fam, coupling, solver
 
 
-def _dump_fields(result, outdir, mask: DomainMask):
+def _dump_fields(result, outdir):
     fdir = os.path.join(outdir, "fields")
     os.makedirs(fdir, exist_ok=True)
     betas = result.system.fam.betas
     for i, f in enumerate(result.system.fields, start=1):
         field_to_csv(f, os.path.join(fdir, f"u{i}.csv"))
         field_to_pgm(f, os.path.join(fdir, f"u{i}.pgm"), cap=betas[i - 1])
-
-
-def _write_run_outputs(norm, mask, best, results, outdir, dump_fields, say,
-                       seed):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(norm, fh, indent=1, sort_keys=True)
-    records = []
-    for res in results:
-        verdict = "best" if res is best else ""
-        records.append(lab.record_from_result(
-            "minimize", mask, res, seed, res.seconds, eps=tuple(norm["eps"]),
-            verdict=verdict))
-    lab.write_records_csv(records, os.path.join(outdir, "results.csv"))
-    lab.append_new_manifest_keys(records, os.path.join(outdir, "manifest.txt"))
-    if dump_fields:
-        _dump_fields(best, outdir, mask)
-    say(f"energy {lab.fmt(best.energy)}  converged {best.converged}  "
-        f"alive {best.alive_count}/{best.system.k}  start {best.start_label}")
 
 
 def cmd_minimize(args, partition: bool = False) -> int:
@@ -187,8 +156,15 @@ def cmd_minimize(args, partition: bool = False) -> int:
         kappa=0.0 if partition else norm["kappa"], cfg=solver,
         partition=partition, warn=say)
     outdir = args.out or norm["out"]
-    _write_run_outputs(norm, mask, best, results, outdir, args.dump_fields,
-                       say, solver.seed)
+    records = [lab.record_from_result(
+        "minimize", mask, res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
+        verdict="best" if res is best else "") for res in results]
+    lab.write_run(outdir, records, texts={
+        "config.json": json.dumps(norm, indent=1, sort_keys=True)})
+    if args.dump_fields:
+        _dump_fields(best, outdir)
+    say(f"energy {lab.fmt(best.energy)}  converged {best.converged}  "
+        f"alive {best.alive_count}/{best.system.k}  start {best.start_label}")
     if partition:
         say(f"alive-count {best.alive_count}")
     return EXIT_OK if best.converged else EXIT_NOCONV
@@ -199,12 +175,11 @@ def cmd_partition(args) -> int:
 
 
 def _analytic_eigenvalue(domain: dict):
-    if domain["kind"] == "rectangle":
-        w = domain.get("width", 1.0)
-        ht = domain.get("height", 1.0)
-        return np.pi ** 2 * (1.0 / w ** 2 + 1.0 / ht ** 2)
-    if domain["kind"] == "disc":
-        return (_BESSEL_J01 / domain.get("radius", 1.0)) ** 2
+    p = {**lab.DOMAIN_KINDS[domain["kind"]][1], **domain}
+    if p["kind"] == "rectangle":
+        return np.pi ** 2 * (1.0 / p["width"] ** 2 + 1.0 / p["height"] ** 2)
+    if p["kind"] == "disc":
+        return (_BESSEL_J01 / p["radius"]) ** 2
     return None
 
 
@@ -216,7 +191,7 @@ def _floats(cfg: dict, key: str) -> list:
     return [float(x) for x in _require(cfg, key)]
 
 
-def _verify_eig(cfg, solver, out, say):
+def _verify_eig(cfg, solver, say):
     domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
                                              "width": 1.0, "height": 1.0}))
     reference = cfg.get("reference", _analytic_eigenvalue(domain))
@@ -224,48 +199,46 @@ def _verify_eig(cfg, solver, out, say):
         raise ConfigError("reference",
                           "config key \"reference\" required for this domain")
     verdict = lab.verify_eigenvalue(lab.build_domain(domain), float(reference),
-                                    float(cfg.get("rel_tol", 0.01)), out=out)
+                                    float(cfg.get("rel_tol", 0.01)))
     say(f"lambda1 {lab.fmt(verdict.details['lambda1'])}  reference "
         f"{lab.fmt(verdict.details['reference'])}  rel_err "
         f"{lab.fmt(verdict.details['rel_err'])}")
     return verdict
 
 
-# Experiment name -> (config keys, runner(cfg, solver, out, say)).  The
-# solver config is parsed only for experiments whose keys include it.
+# Experiment name -> (config keys, runner(cfg, solver, say) -> verdict).
+# The solver config is parsed only for experiments whose keys include it.
 VERIFY = {
     "extinction": (
         {"domain", "k", "lambda", "solver", "out"},
-        lambda cfg, solver, out, say: lab.verify_extinction_identical(
+        lambda cfg, solver, say: lab.verify_extinction_identical(
             _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
-            solver, out=out)),
+            solver)),
     "eps-threshold": (
         {"domain", "k", "lambda", "kappa", "eps_grid", "solver", "out"},
-        lambda cfg, solver, out, say: lab.scan_epsilon_threshold(
+        lambda cfg, solver, say: lab.scan_epsilon_threshold(
             _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "kappa")), _floats(cfg, "eps_grid"), solver,
-            out=out)),
+            float(_require(cfg, "kappa")), _floats(cfg, "eps_grid"), solver)),
     "limiti": (
         {"domain", "lambdas", "solver", "out"},
-        lambda cfg, solver, out, say: lab.verify_limiti_asymptotics(
-            _domain(cfg), _floats(cfg, "lambdas"), solver, out=out)),
+        lambda cfg, solver, say: lab.verify_limiti_asymptotics(
+            _domain(cfg), _floats(cfg, "lambdas"), solver)),
     "wedge-bound": (
         {"m", "lambda", "h", "solver", "out"},
-        lambda cfg, solver, out, say: lab.verify_wedge_bound(
+        lambda cfg, solver, say: lab.verify_wedge_bound(
             float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")), solver, out=out)),
+            float(_require(cfg, "h")), solver)),
     "cutoff": (
         {"m", "lambda", "h", "deltas", "solver", "out"},
-        lambda cfg, solver, out, say: lab.verify_cutoff_scaling(
+        lambda cfg, solver, say: lab.verify_cutoff_scaling(
             float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")), _floats(cfg, "deltas"), solver,
-            out=out)),
+            float(_require(cfg, "h")), _floats(cfg, "deltas"), solver)),
     "system2": (
         {"domain", "lambda", "eps2", "kappa_schedule", "solver", "out"},
-        lambda cfg, solver, out, say: lab.verify_system2(
+        lambda cfg, solver, say: lab.verify_system2(
             _domain(cfg), float(_require(cfg, "lambda")),
             float(_require(cfg, "eps2")), _floats(cfg, "kappa_schedule"),
-            solver, out=out)),
+            solver)),
     "eig": ({"domain", "reference", "rel_tol", "out"}, _verify_eig),
 }
 VERIFY_EXPERIMENTS = tuple(VERIFY)
@@ -284,7 +257,8 @@ def cmd_verify(args) -> int:
     _check_unknown(cfg, keys, f"{name} config")
     solver = parse_solver(cfg.get("solver"), args.seed) if "solver" in keys \
         else None
-    verdict = runner(cfg, solver, outdir, say)
+    verdict = runner(cfg, solver, say)
+    lab.write_verdict(verdict, outdir)
 
     say(f"{verdict.experiment}: {verdict.status}")
     for key, val in sorted(verdict.details.items()):

@@ -2,9 +2,11 @@
 
 Each experiment drives the solver over a controlled configuration and
 reduces the outcome to a PASS / FAIL / INCONCLUSIVE verdict plus a list
-of RunRecords.  Records serialize to CSV with a fixed column schema and
-floats printed at 17 significant digits, so re-running a record's inputs
-reproduces its energy columns bit for bit.
+of RunRecords; experiments write no files.  ``write_run`` writes a run
+directory (records CSV, manifest and JSON files), and ``write_verdict``
+persists a verdict through it.  RunRecord's fields are the CSV columns,
+with floats printed at 17 significant digits, so re-running a record's
+inputs reproduces its energy columns bit for bit.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain, product
 
 import numpy as np
 
-from .energy import (DensityField, SpeciesSystem, energy_total,
-                     single_species_energy, lambda1)
+from .energy import (DensityField, energy_total, single_species_energy,
+                     lambda1)
 from .geometry import (DomainMask, SPACE_DIM, build_disc, build_rectangle,
                        build_wedge)
 from .model import ScaledFamily, coupling_quartic, cutoff_phi, identical_family, logistic
@@ -27,13 +30,11 @@ from .solve import (MinimizeResult, SolverConfig, kappa_continuation,
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
-CSV_COLUMNS = [
-    "experiment", "domain", "h", "k", "lam", "kappa", "eps", "seed", "start",
-    "iters", "converged", "dirichlet", "potential", "interaction", "total",
-    "alive", "overlap", "wall_time", "verdict",
-]
-
 MERGE_SLACK = 1e-12
+
+# The stock law, and the one-species family of every k = 1 experiment.
+_LOGISTIC = logistic()
+_SINGLE = ScaledFamily(base=_LOGISTIC, k=1, eps=())
 
 
 def fmt(x) -> str:
@@ -47,44 +48,59 @@ def fmt(x) -> str:
 
 @dataclass
 class RunRecord:
+    """One CSV row: the fields, in order, are the columns, and the first
+    eight (experiment .. seed) are the coordinate key."""
+
     experiment: str
     domain: str
     h: float
     k: int
     lam: float
     kappa: float
-    eps: tuple
+    eps: tuple[float, ...]
     seed: int
     start: str
     iters: int
     converged: bool
-    dirichlet: tuple
-    potential: tuple
+    dirichlet: tuple[float, ...]
+    potential: tuple[float, ...]
     interaction: float
     total: float
-    alive: tuple
+    alive: tuple[bool, ...]
     overlap: float
     wall_time: float
     verdict: str = ""
 
     def coordinate_key(self) -> str:
-        eps = ";".join(fmt(float(e)) for e in self.eps)
-        return "|".join([self.experiment, self.domain, fmt(float(self.h)),
-                         str(self.k), fmt(float(self.lam)), fmt(float(self.kappa)),
-                         eps, str(self.seed)])
+        return _key(getattr(self, name) for name in CSV_COLUMNS[:_KEY_CELLS])
 
     def to_row(self) -> list:
-        return [
-            self.experiment, self.domain, fmt(float(self.h)), str(self.k),
-            fmt(float(self.lam)), fmt(float(self.kappa)),
-            ";".join(fmt(float(e)) for e in self.eps), str(self.seed),
-            self.start, str(self.iters), fmt(bool(self.converged)),
-            ";".join(fmt(float(v)) for v in self.dirichlet),
-            ";".join(fmt(float(v)) for v in self.potential),
-            fmt(float(self.interaction)), fmt(float(self.total)),
-            ";".join(fmt(bool(a)) for a in self.alive),
-            fmt(float(self.overlap)), fmt(float(self.wall_time)), self.verdict,
-        ]
+        return [enc(getattr(self, name)) for name, enc, _ in _CODECS]
+
+
+_SCALAR_CODECS = {"str": (str, str), "int": (str, int),
+                  "float": (lambda v: fmt(float(v)), float),
+                  "bool": (lambda v: fmt(bool(v)), lambda s: s == "1")}
+
+
+def _codec(kind: str) -> tuple:
+    """(encode, decode) of one field type; a tuple is its elements' cells
+    joined by ';'."""
+    if not kind.startswith("tuple["):
+        return _SCALAR_CODECS[kind]
+    enc, dec = _SCALAR_CODECS[kind[len("tuple["):].split(",")[0]]
+    return (lambda v: ";".join(enc(x) for x in v),
+            lambda s: tuple(dec(x) for x in s.split(";") if x))
+
+
+_CODECS = [(f.name, *_codec(f.type)) for f in fields(RunRecord)]
+CSV_COLUMNS = [name for name, _, _ in _CODECS]
+_KEY_CELLS = 8
+
+
+def _key(values) -> str:
+    """Coordinate key from a record's leading values: their cells joined by '|'."""
+    return "|".join(enc(v) for (_, enc, _), v in zip(_CODECS[:_KEY_CELLS], values))
 
 
 @dataclass
@@ -99,29 +115,30 @@ class LabVerdict:
         return self.status == PASS
 
 
+# Domain kind -> (builder(h, *params), parameter defaults in builder order,
+# label).  Each builder calls the geometry function through this module's
+# name for it, so rebinding that name (as bench/tracing.py does) reaches it.
+DOMAIN_KINDS = {
+    "rectangle": (lambda h, w, ht: build_rectangle(w, ht, h),
+                  {"width": 1.0, "height": 1.0}, "rectangle({width:g}x{height:g})"),
+    "disc": (lambda h, r: build_disc(r, h), {"radius": 1.0}, "disc(r={radius:g})"),
+    "wedge": (lambda h, m: build_wedge(m, h), {"m": 2.0}, "wedge(m={m:g})"),
+}
+
+
 def domain_label(mask: DomainMask) -> str:
-    p = mask.params
-    if mask.kind == "rectangle":
-        return f"rectangle({p['width']:g}x{p['height']:g})"
-    if mask.kind == "disc":
-        return f"disc(r={p['radius']:g})"
-    if mask.kind == "wedge":
-        return f"wedge(m={p['m']:g})"
-    return "custom"
+    if mask.kind not in DOMAIN_KINDS:
+        return "custom"
+    return DOMAIN_KINDS[mask.kind][2].format(**mask.params)
 
 
 def build_domain(spec: dict) -> DomainMask:
     """Construct a mask from a plain configuration dict."""
-    kind = spec["kind"]
-    h = float(spec["h"])
-    if kind == "rectangle":
-        return build_rectangle(float(spec.get("width", 1.0)),
-                               float(spec.get("height", 1.0)), h)
-    if kind == "disc":
-        return build_disc(float(spec.get("radius", 1.0)), h)
-    if kind == "wedge":
-        return build_wedge(float(spec.get("m", 2.0)), h)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    if spec["kind"] not in DOMAIN_KINDS:
+        raise ValueError(f"unknown domain kind {spec['kind']!r}")
+    build, defaults, _ = DOMAIN_KINDS[spec["kind"]]
+    return build(float(spec["h"]), *(float(spec.get(key, d))
+                                     for key, d in defaults.items()))
 
 
 def record_from_result(experiment: str, mask: DomainMask, res: MinimizeResult,
@@ -138,15 +155,29 @@ def record_from_result(experiment: str, mask: DomainMask, res: MinimizeResult,
     )
 
 
+def _write_atomic(path, chunks) -> None:
+    """Replace the file at ``path`` by the text ``chunks`` atomically (write,
+    then rename); a generator of chunks is written as it is produced."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, str(path))
+
+
 def write_records_csv(records, path) -> None:
     """Atomically (re)write a record CSV with the documented schema."""
-    path = str(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(rec.to_row()) + "\n")
-    os.replace(tmp, path)
+    rows = chain([CSV_COLUMNS], (rec.to_row() for rec in records))
+    _write_atomic(path, (",".join(row) + "\n" for row in rows))
+
+
+def read_records_csv(path) -> list:
+    """Read back a record CSV written by write_records_csv."""
+    with open(str(path)) as fh:
+        if fh.readline().strip().split(",") != CSV_COLUMNS:
+            raise ValueError("unexpected record CSV schema")
+        return [RunRecord(*(dec(cell) for (_, _, dec), cell in
+                            zip(_CODECS, line.rstrip("\n").split(","), strict=True)))
+                for line in fh if line.rstrip("\n")]
 
 
 def append_manifest(record: RunRecord, path) -> None:
@@ -174,6 +205,31 @@ def read_manifest_keys(path) -> set:
     return keys
 
 
+def write_run(out, records=(), csv_name="results.csv", texts=None,
+              new=None) -> None:
+    """Write the run directory ``out``: each ``texts`` entry (file name ->
+    text) and, with records, ``csv_name`` holding them, each replaced
+    atomically; then append to ``manifest.txt`` the keys of ``new`` (default:
+    the records) that it does not hold yet."""
+    out = str(out)
+    os.makedirs(out, exist_ok=True)
+    for name, text in (texts or {}).items():
+        _write_atomic(os.path.join(out, name), [text])
+    if records:
+        write_records_csv(records, os.path.join(out, csv_name))
+        append_new_manifest_keys(records if new is None else new,
+                                 os.path.join(out, "manifest.txt"))
+
+
+def write_verdict(verdict: LabVerdict, out) -> None:
+    """Persist a verdict into ``out``: ``<experiment>.json`` (status and every
+    detail) and, for a verdict with records, ``<experiment>.csv``."""
+    payload = {"experiment": verdict.experiment, "status": verdict.status,
+               "details": verdict.details}
+    write_run(out, verdict.records, f"{verdict.experiment}.csv",
+              {f"{verdict.experiment}.json": json.dumps(payload, indent=1)})
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -192,8 +248,7 @@ def merge_test(res: MinimizeResult) -> dict:
 
 
 def verify_extinction_identical(mask: DomainMask, k: int, lam: float,
-                                cfg: SolverConfig | None = None,
-                                out=None) -> LabVerdict:
+                                cfg: SolverConfig | None = None) -> LabVerdict:
     """Undifferentiated laws force extinction in best-found partitions.
 
     Runs the partition solver from every initializer.  PASS requires that
@@ -205,7 +260,7 @@ def verify_extinction_identical(mask: DomainMask, k: int, lam: float,
     lam1 = lambda1(mask)
     if lam <= lam1:
         raise ValueError(f"need lam > lambda1 = {lam1:.6g}")
-    fam = identical_family(logistic(), k)
+    fam = identical_family(_LOGISTIC, k)
 
     best, results = minimize_multistart(mask, fam, lam, cfg=cfg, partition=True)
 
@@ -224,13 +279,11 @@ def verify_extinction_identical(mask: DomainMask, k: int, lam: float,
             verdict="best" if is_best else ""))
 
     status = PASS if (best_single and merge_ok) else FAIL
-    verdict = LabVerdict("extinction", status, details={
+    return LabVerdict("extinction", status, details={
         "lam": lam, "k": k, "best_energy": best.energy,
         "best_alive_count": best.alive_count, "merge_ok": merge_ok,
         "best_single": best_single,
     }, records=records)
-    _maybe_write(verdict, out)
-    return verdict
 
 
 def limit_fit(lams, values) -> tuple:
@@ -244,8 +297,8 @@ def limit_fit(lams, values) -> tuple:
     return float(-coef[0]), float(coef[1]), float(coef[2])
 
 
-def verify_limiti_asymptotics(mask: DomainMask, lam_list, cfg: SolverConfig | None = None,
-                              out=None) -> LabVerdict:
+def verify_limiti_asymptotics(mask: DomainMask, lam_list,
+                              cfg: SolverConfig | None = None) -> LabVerdict:
     """Large-growth limit of the single-species minimum.
 
     Checks that lam^-1 * (best-found min J) stays above -alpha*|Omega|
@@ -257,23 +310,23 @@ def verify_limiti_asymptotics(mask: DomainMask, lam_list, cfg: SolverConfig | No
     """
     cfg = cfg or SolverConfig()
     lam_list = [float(x) for x in lam_list]
+    if not lam_list:
+        raise ValueError("empty lambda list")
     if any(b <= a for a, b in zip(lam_list, lam_list[1:])):
         raise ValueError("lambda list must be increasing")
     lam1 = lambda1(mask)
     if lam_list[0] <= lam1:
         raise ValueError(f"need every lam > lambda1 = {lam1:.6g}")
 
-    base = logistic()
-    fam = ScaledFamily(base=base, k=1, eps=())
-    target = -base.alpha * mask.measure
+    target = -_LOGISTIC.alpha * mask.measure
     values = []
     records = []
     for lam in lam_list:
-        t0 = time.time()
-        best, _ = minimize_multistart(mask, fam, lam, cfg=cfg)
+        t0 = time.perf_counter()
+        best, _ = minimize_multistart(mask, _SINGLE, lam, cfg=cfg)
         values.append(best.energy / lam)
         records.append(record_from_result("limiti", mask, best, cfg.seed,
-                                          time.time() - t0))
+                                          time.perf_counter() - t0))
 
     lower_ok = all(v >= target * 1.01 for v in values)
     mono_ok = all(b < a for a, b in zip(values, values[1:]))
@@ -288,9 +341,7 @@ def verify_limiti_asymptotics(mask: DomainMask, lam_list, cfg: SolverConfig | No
         A, B, C = limit_fit(lam_list, values)
         details.update(fit_A=A, fit_B=B, fit_C=C,
                        fit_A_rel_gap=abs(A + target) / abs(target))
-    verdict = LabVerdict("limiti", status, details=details, records=records)
-    _maybe_write(verdict, out)
-    return verdict
+    return LabVerdict("limiti", status, details=details, records=records)
 
 
 def estimate_lambda_zero(mask: DomainMask, k: int, cfg: SolverConfig | None = None,
@@ -301,15 +352,13 @@ def estimate_lambda_zero(mask: DomainMask, k: int, cfg: SolverConfig | None = No
     scanning a geometric grid from just above the principal eigenvalue.
     """
     cfg = cfg or SolverConfig()
-    base = logistic()
-    fam = ScaledFamily(base=base, k=1, eps=())
     lam1 = lambda1(mask)
-    threshold = -base.alpha * mask.measure * (1.0 - 1.0 / (2 * k))
+    threshold = -_LOGISTIC.alpha * mask.measure * (1.0 - 1.0 / (2 * k))
     lam = 1.05 * lam1
     table = []
     found = None
     for _ in range(max_steps):
-        best, _ = minimize_multistart(mask, fam, lam, cfg=cfg)
+        best, _ = minimize_multistart(mask, _SINGLE, lam, cfg=cfg)
         val = best.energy / lam
         table.append((lam, val))
         if val < threshold:
@@ -339,34 +388,35 @@ def check_wedge_bound(field: DensityField, m: float, lam: float,
             "ok": bool(np.all(excess <= 0))}
 
 
+def _wedge_minimizer(m: float, lam: float, h: float, cfg: SolverConfig,
+                     minimizer: MinimizeResult | None) -> MinimizeResult:
+    """The given single-species wedge minimizer, or a multistart one."""
+    if minimizer is None:
+        minimizer, _ = minimize_multistart(build_wedge(m, h), _SINGLE, lam, cfg=cfg)
+    return minimizer
+
+
 def verify_wedge_bound(m: float, lam: float, h: float,
                        cfg: SolverConfig | None = None,
-                       minimizer: MinimizeResult | None = None,
-                       out=None) -> LabVerdict:
+                       minimizer: MinimizeResult | None = None) -> LabVerdict:
     """Minimize the single-species energy on a wedge and test the corner
 
     barrier at every interior node."""
     cfg = cfg or SolverConfig()
-    base = logistic()
-    fam = ScaledFamily(base=base, k=1, eps=())
-    t0 = time.time()
-    if minimizer is None:
-        mask = build_wedge(m, h)
-        minimizer, _ = minimize_multistart(mask, fam, lam, cfg=cfg)
+    t0 = time.perf_counter()
+    minimizer = _wedge_minimizer(m, lam, h, cfg, minimizer)
     mask = minimizer.system.mask
-    chk = check_wedge_bound(minimizer.system.fields[0], m, lam, base.gmax)
-    box_ok = bool(np.all(minimizer.system.fields[0].values >= 0)
-                  and np.all(minimizer.system.fields[0].values <= base.beta))
+    u = minimizer.system.fields[0]
+    chk = check_wedge_bound(u, m, lam, _LOGISTIC.gmax)
+    box_ok = bool(np.all(u.values >= 0) and np.all(u.values <= _LOGISTIC.beta))
     status = PASS if (chk["ok"] and box_ok) else FAIL
     rec = record_from_result("wedge-bound", mask, minimizer, cfg.seed,
-                             time.time() - t0, verdict=status)
-    verdict = LabVerdict("wedge-bound", status, details={
+                             time.perf_counter() - t0, verdict=status)
+    return LabVerdict("wedge-bound", status, details={
         "m": m, "lam": lam, "h": mask.h, "gamma": chk["gamma"],
         "max_excess": chk["max_excess"], "box_ok": box_ok,
         "energy": minimizer.energy,
     }, records=[rec])
-    _maybe_write(verdict, out)
-    return verdict
 
 
 def cutoff_competitor(field: DensityField, delta: float) -> DensityField:
@@ -379,8 +429,7 @@ def cutoff_competitor(field: DensityField, delta: float) -> DensityField:
 
 def verify_cutoff_scaling(m: float, lam: float, h: float, deltas,
                           cfg: SolverConfig | None = None,
-                          minimizer: MinimizeResult | None = None,
-                          out=None) -> LabVerdict:
+                          minimizer: MinimizeResult | None = None) -> LabVerdict:
     """Energy cost of clearing the vertex scales like delta^(N+2).
 
     Builds cutoff competitors from the computed wedge minimizer, fits the
@@ -394,20 +443,16 @@ def verify_cutoff_scaling(m: float, lam: float, h: float, deltas,
         raise ValueError("need at least 4 cutoff widths")
     if deltas[0] < 4 * h:
         raise ValueError("cutoff widths must be at least 4h")
-    base = logistic()
-    fam = ScaledFamily(base=base, k=1, eps=())
-    t0 = time.time()
-    if minimizer is None:
-        mask = build_wedge(m, h)
-        minimizer, _ = minimize_multistart(mask, fam, lam, cfg=cfg)
+    t0 = time.perf_counter()
+    minimizer = _wedge_minimizer(m, lam, h, cfg, minimizer)
     mask = minimizer.system.mask
     u1 = minimizer.system.fields[0]
-    J0 = single_species_energy(u1, 1, fam, lam)
+    J0 = single_species_energy(u1, 1, _SINGLE, lam)
 
     gaps = []
     nonpositive = []
     for d in deltas:
-        Jd = single_species_energy(cutoff_competitor(u1, d), 1, fam, lam)
+        Jd = single_species_energy(cutoff_competitor(u1, d), 1, _SINGLE, lam)
         gap = Jd - J0
         if gap > 0:
             gaps.append((d, gap))
@@ -427,15 +472,12 @@ def verify_cutoff_scaling(m: float, lam: float, h: float, deltas,
         details["slope"] = None
         status = INCONCLUSIVE
     rec = record_from_result("cutoff", mask, minimizer, cfg.seed,
-                             time.time() - t0, verdict=status)
-    verdict = LabVerdict("cutoff", status, details=details, records=[rec])
-    _maybe_write(verdict, out)
-    return verdict
+                             time.perf_counter() - t0, verdict=status)
+    return LabVerdict("cutoff", status, details=details, records=[rec])
 
 
 def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
-                           eps_grid, cfg: SolverConfig | None = None,
-                           out=None) -> LabVerdict:
+                           eps_grid, cfg: SolverConfig | None = None) -> LabVerdict:
     """Sweep the density scale and locate the coexistence threshold.
 
     Runs the multistart free minimizer at each uniform scale eps and
@@ -448,7 +490,6 @@ def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid:
         raise ValueError("empty eps grid")
-    base = logistic()
     coupling = coupling_quartic(k)
     eps_star = float(np.sqrt(lam / (6.0 * k * k * kappa))) if kappa > 0 else None
 
@@ -456,8 +497,8 @@ def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
     coexisting = []
     j1_values = []
     for eps in eps_grid:
-        fam = ScaledFamily(base=base, k=k, eps=(eps,) * (k - 1))
-        t0 = time.time()
+        fam = ScaledFamily(base=_LOGISTIC, k=k, eps=(eps,) * (k - 1))
+        t0 = time.perf_counter()
         best, _ = minimize_multistart(mask, fam, lam, coupling=coupling,
                                       kappa=kappa, cfg=cfg)
         full = best.alive_count == k
@@ -466,7 +507,7 @@ def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
         j1_values.append(single_species_energy(best.system.fields[0], 1,
                                                fam, lam))
         rec = record_from_result("eps-threshold", mask, best, cfg.seed,
-                                 time.time() - t0, eps=(eps,) * (k - 1),
+                                 time.perf_counter() - t0, eps=(eps,) * (k - 1),
                                  verdict="coexist" if full else "extinct")
         records.append(rec)
 
@@ -477,17 +518,15 @@ def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
         status = PASS
     else:
         status = PASS if threshold >= eps_star else FAIL
-    verdict = LabVerdict("eps-threshold", status, details={
+    return LabVerdict("eps-threshold", status, details={
         "lam": lam, "kappa": kappa, "k": k, "eps_grid": eps_grid,
         "coexisting": coexisting, "threshold": threshold, "eps_star": eps_star,
         "degenerate": threshold is None, "j1_values": j1_values,
     }, records=records)
-    _maybe_write(verdict, out)
-    return verdict
 
 
 def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
-                   cfg: SolverConfig | None = None, out=None) -> LabVerdict:
+                   cfg: SolverConfig | None = None) -> LabVerdict:
     """Two-species continuation toward the segregated limit.
 
     PASS requires: both species alive at every competition rate; the
@@ -499,8 +538,9 @@ def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
     """
     cfg = cfg or SolverConfig()
     schedule = [float(x) for x in kappa_schedule]
-    base = logistic()
-    fam = ScaledFamily(base=base, k=2, eps=(eps2,))
+    if not schedule:
+        raise ValueError("empty kappa schedule")
+    fam = ScaledFamily(base=_LOGISTIC, k=2, eps=(eps2,))
     coupling = coupling_quartic(2)
 
     best0, _ = minimize_multistart(mask, fam, lam, coupling=coupling,
@@ -522,11 +562,9 @@ def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
 
     if not all(r.converged for r in results):
         failing = [s for s, r in zip(schedule, results) if not r.converged]
-        verdict = LabVerdict("system2", INCONCLUSIVE, details={
+        return LabVerdict("system2", INCONCLUSIVE, details={
             "failing_kappas": failing, "schedule": schedule,
         }, records=records)
-        _maybe_write(verdict, out)
-        return verdict
 
     alive_ok = all(r.alive_count == 2 for r in results)
     overlap_ok = overlaps[-1] <= 1e-3 * overlaps[0]
@@ -542,7 +580,7 @@ def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
     gap_ok = gap <= 0.01 * abs(lam_estimates[-1])
 
     status = PASS if (alive_ok and overlap_ok and mono_ok and below_c and gap_ok) else FAIL
-    verdict = LabVerdict("system2", status, details={
+    return LabVerdict("system2", status, details={
         "lam": lam, "eps2": eps2, "schedule": schedule,
         "lam_estimates": lam_estimates, "overlaps": overlaps,
         "partition_minimum": c, "alive_ok": alive_ok,
@@ -550,43 +588,18 @@ def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
         "monotone_ok": mono_ok, "below_partition_ok": below_c,
         "projection_gap": gap, "projection_gap_ok": gap_ok,
     }, records=records)
-    _maybe_write(verdict, out)
-    return verdict
 
 
-def verify_eigenvalue(mask: DomainMask, reference: float, rel_tol: float,
-                      out=None) -> LabVerdict:
+def verify_eigenvalue(mask: DomainMask, reference: float,
+                      rel_tol: float) -> LabVerdict:
     """Principal Dirichlet eigenvalue against an analytic reference."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lam = lambda1(mask)
     rel = abs(lam - reference) / abs(reference)
-    status = PASS if rel <= rel_tol else FAIL
-    verdict = LabVerdict("eig", status, details={
+    return LabVerdict("eig", PASS if rel <= rel_tol else FAIL, details={
         "lambda1": lam, "reference": reference, "rel_err": rel,
-        "rel_tol": rel_tol, "wall_time": time.time() - t0,
+        "rel_tol": rel_tol, "wall_time": time.perf_counter() - t0,
     })
-    _maybe_write(verdict, out)
-    return verdict
-
-
-def _maybe_write(verdict: LabVerdict, out) -> None:
-    """Write ``<experiment>.json`` (status and every detail) into ``out``,
-    and for a verdict with records ``<experiment>.csv`` and the manifest."""
-    if out is None:
-        return
-    os.makedirs(str(out), exist_ok=True)
-    if verdict.records:
-        write_records_csv(verdict.records,
-                          os.path.join(str(out), f"{verdict.experiment}.csv"))
-        append_new_manifest_keys(verdict.records,
-                                 os.path.join(str(out), "manifest.txt"))
-    path = os.path.join(str(out), f"{verdict.experiment}.json")
-    payload = {"experiment": verdict.experiment, "status": verdict.status,
-               "details": verdict.details}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -620,19 +633,14 @@ def run_sweep_point(domain_spec: dict, k: int, lam: float, kappa: float,
                     eps: tuple, cfg: SolverConfig) -> RunRecord:
     """One sweep coordinate: multistart free minimization, recorded."""
     mask = build_domain(domain_spec)
-    base = logistic()
-    if k == 1:
-        fam = ScaledFamily(base=base, k=1, eps=())
-        coupling = None
-    else:
-        fam = ScaledFamily(base=base, k=k, eps=eps)
-        coupling = coupling_quartic(k)
-    t0 = time.time()
-    best, _ = minimize_multistart(mask, fam, lam, coupling=coupling,
-                                  kappa=kappa, cfg=cfg)
+    fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
+    t0 = time.perf_counter()
+    best, _ = minimize_multistart(mask, fam, lam, kappa=kappa, cfg=cfg,
+                                  coupling=coupling_quartic(k) if k > 1 else None)
     full = best.alive_count == k
-    return record_from_result("sweep", mask, best, cfg.seed, time.time() - t0,
-                              eps=eps, verdict="coexist" if full else "extinct")
+    return record_from_result("sweep", mask, best, cfg.seed,
+                              time.perf_counter() - t0, eps=eps,
+                              verdict="coexist" if full else "extinct")
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
@@ -645,84 +653,42 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     """
     os.makedirs(spec.outdir, exist_ok=True)
     results_path = os.path.join(spec.outdir, "results.csv")
-    manifest_path = os.path.join(spec.outdir, "manifest.txt")
     existing = read_records_csv(results_path) if os.path.exists(results_path) else []
     records = {rec.coordinate_key(): rec for rec in existing}
-    done_keys = read_manifest_keys(manifest_path) & records.keys()
+    done_keys = read_manifest_keys(os.path.join(spec.outdir, "manifest.txt")) \
+        & records.keys()
 
     label = domain_label(build_domain(spec.domain))
-    todo = []
-    for lam, kappa, eps in spec.coordinates():
-        probe = RunRecord("sweep", label, spec.domain["h"], spec.k, lam,
-                          kappa, eps, spec.solver.seed, "", 0, False, (), (),
-                          0.0, 0.0, (), 0.0, 0.0)
-        if probe.coordinate_key() in done_keys:
-            continue
-        todo.append((lam, kappa, eps))
+    todo = [(lam, kappa, eps) for lam, kappa, eps in spec.coordinates()
+            if _key(("sweep", label, spec.domain["h"], spec.k, lam, kappa, eps,
+                     spec.solver.seed)) not in done_keys]
 
-    def finish(rec: RunRecord):
-        records[rec.coordinate_key()] = rec
-        ordered = [records[k] for k in sorted(records)]
-        write_records_csv(ordered, results_path)
-        append_new_manifest_keys([rec], manifest_path)
-        log(f"sweep point lam={rec.lam:g} kappa={rec.kappa:g} "
-            f"eps={rec.eps} -> {rec.verdict}")
-
-    failures = 0
-    if jobs <= 1 or len(todo) <= 1:
-        for lam, kappa, eps in todo:
-            try:
-                finish(run_sweep_point(spec.domain, spec.k, lam, kappa, eps,
-                                       spec.solver))
-            except Exception as exc:
-                failures += 1
-                log(f"sweep point lam={lam:g} kappa={kappa:g} eps={eps} "
-                    f"failed: {exc}")
-    else:
+    def outcomes():
+        """(coordinate, call returning its record), in grid order."""
+        args = [(spec.domain, spec.k, *point, spec.solver) for point in todo]
+        if jobs <= 1 or len(todo) <= 1:
+            for point, a in zip(todo, args):
+                yield point, partial(run_sweep_point, *a)
+            return
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [(lam, kappa, eps,
-                     pool.submit(run_sweep_point, spec.domain, spec.k,
-                                 lam, kappa, eps, spec.solver))
-                    for lam, kappa, eps in todo]
-            for lam, kappa, eps, fut in futs:
-                try:
-                    finish(fut.result())
-                except Exception as exc:
-                    failures += 1
-                    log(f"sweep point lam={lam:g} kappa={kappa:g} eps={eps} "
-                        f"failed: {exc}")
+            futs = [pool.submit(run_sweep_point, *a) for a in args]
+            for point, fut in zip(todo, futs):
+                yield point, fut.result
+
+    failures = 0
+    for (lam, kappa, eps), result in outcomes():
+        where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
+        try:
+            rec = result()
+            records[rec.coordinate_key()] = rec
+            write_run(spec.outdir, [records[key] for key in sorted(records)],
+                      new=[rec])
+            log(f"{where} -> {rec.verdict}")
+        except Exception as exc:
+            failures += 1
+            log(f"{where} failed: {exc}")
 
     return {"completed": len(todo) - failures, "skipped": len(done_keys),
             "failed": failures, "total": len(records),
             "results_csv": results_path}
-
-
-def read_records_csv(path) -> list:
-    """Read back a record CSV written by write_records_csv."""
-    out = []
-    with open(str(path)) as fh:
-        header = fh.readline().strip().split(",")
-        if header != CSV_COLUMNS:
-            raise ValueError("unexpected record CSV schema")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            vals = line.split(",")
-            row = dict(zip(CSV_COLUMNS, vals))
-            out.append(RunRecord(
-                experiment=row["experiment"], domain=row["domain"],
-                h=float(row["h"]), k=int(row["k"]), lam=float(row["lam"]),
-                kappa=float(row["kappa"]),
-                eps=tuple(float(x) for x in row["eps"].split(";") if x),
-                seed=int(row["seed"]), start=row["start"],
-                iters=int(row["iters"]), converged=row["converged"] == "1",
-                dirichlet=tuple(float(x) for x in row["dirichlet"].split(";") if x),
-                potential=tuple(float(x) for x in row["potential"].split(";") if x),
-                interaction=float(row["interaction"]), total=float(row["total"]),
-                alive=tuple(x == "1" for x in row["alive"].split(";") if x),
-                overlap=float(row["overlap"]), wall_time=float(row["wall_time"]),
-                verdict=row["verdict"],
-            ))
-    return out

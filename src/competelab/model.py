@@ -20,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-# The antiderivative check of custom_nonlinearity: sample count on
-# (0, 2 beta], central-difference step relative to beta, and tolerance
-# relative to max(1, max |g|).
+# The central-difference checks of G against g (custom_nonlinearity) and
+# of dH against H (custom_coupling): sample count on (0, 2 beta] for G,
+# step (relative to beta for G), and tolerance relative to max(1, max |g|)
+# or max(1, max |dH|).
 ANTIDERIVATIVE_SAMPLES = 64
 ANTIDERIVATIVE_STEP = 1e-6
 ANTIDERIVATIVE_TOL = 1e-4
@@ -205,13 +206,29 @@ def coupling_quartic(k: int) -> Coupling:
 
 def custom_coupling(H: Callable, dH: Callable, k: int, rng=None,
                     samples: int = 200) -> Coupling:
-    """Wrap a user coupling, spot-checking its structural assumptions."""
+    """Wrap a user coupling, spot-checking its structural assumptions.
+
+    At sampled densities H must be nonnegative, s_i dH_i nonnegative, and
+    dH must match central differences of H; H must vanish when at most
+    one density is nonzero.
+    """
     rng = np.random.default_rng(rng)
     s = rng.uniform(0.0, 1.0, size=(k, samples))
     if np.any(np.asarray(H(s)) < -1e-12):
         raise ValueError("coupling must be nonnegative")
     if np.any(s * np.asarray(dH(s)) < -1e-12):
         raise ValueError("coupling must satisfy s_i * dH_i >= 0")
+    d = ANTIDERIVATIVE_STEP
+    t = s + d  # keeps every difference point nonnegative
+    grad = np.asarray(dH(t), dtype=float)
+    tol = ANTIDERIVATIVE_TOL * max(1.0, float(np.abs(grad).max()))
+    for i in range(k):
+        e = np.zeros((k, 1))
+        e[i] = d
+        slope = (np.asarray(H(t + e), dtype=float)
+                 - np.asarray(H(t - e), dtype=float)) / (2.0 * d)
+        if np.any(np.abs(slope - grad[i]) > tol):
+            raise ValueError("coupling's dH does not match the slope of H")
     lone = np.zeros((k, k))
     lone[np.arange(k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
     if np.any(np.abs(np.asarray(H(lone.T))) > 1e-12):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,15 @@ class TestConfigValidation:
         rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
         assert rc == 1
         assert f"unknown config key \"{key}\" in solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("nonlinearity", "logistic"),
+                                            ("coupling", "quartic")])
+    def test_removed_model_keys_are_unknown(self, tmp_path, capsys, key, value):
+        cfg = base_run_config(str(tmp_path / "o"))
+        cfg[key] = value
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        assert f"unknown config key \"{key}\"" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eig", "--jobs", "2"],
@@ -231,6 +244,19 @@ class TestVerifyCommand:
         assert details["lam_list"] == [100.0, 200.0, 400.0]
         assert (out / "limiti.csv").exists()
 
+    @pytest.mark.parametrize("name, cfg", [
+        ("limiti", {"domain": {"kind": "rectangle", "h": 1 / 16}, "lambdas": []}),
+        ("system2", {"domain": {"kind": "wedge", "m": 2.0, "h": 1 / 24},
+                     "lambda": 200.0, "eps2": 0.6, "kappa_schedule": []}),
+    ])
+    def test_empty_list_exits_1(self, tmp_path, capsys, name, cfg):
+        rc = main(["verify", name, "--config",
+                   write_config(tmp_path, "e.json", cfg),
+                   "--out", str(tmp_path / "e"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: empty")
+        assert not (tmp_path / "e").exists()
+
     def test_system2_inconclusive_exit_4(self, tmp_path):
         cfg = {"domain": {"kind": "wedge", "m": 2.0, "h": 1 / 24},
                "lambda": 200.0, "eps2": 0.6, "kappa_schedule": [10, 100],
@@ -329,3 +355,19 @@ class TestSweepCommand:
         b = open(out_b + "/results.csv").readlines()
         strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
         assert strip(a) == strip(b)
+
+
+def test_import_loads_no_heavy_scipy_module():
+    """The package import stays free of scipy.linalg, scipy.sparse.linalg and
+    scipy.fft, which the solvers do without (start-up time and memory)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                      else [])))
+    code = ("import sys, competelab, competelab.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.sparse.linalg', 'scipy.fft') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,11 @@
 import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competelab.energy import DensityField, SpeciesSystem, energy_total
 from competelab.geometry import build_disc, build_rectangle, build_wedge
@@ -268,10 +272,50 @@ class TestRecords:
 
     def test_repeated_verify_adds_no_manifest_lines(self, tmp_path):
         for _ in range(3):
-            lab.verify_wedge_bound(2.0, 100.0, 1 / 24, out=tmp_path)
+            lab.write_verdict(lab.verify_wedge_bound(2.0, 100.0, 1 / 24), tmp_path)
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert len(lines) == 1
         assert (tmp_path / "wedge-bound.csv").exists()
+
+
+LABELS = st.text(string.ascii_letters + string.digits + "()=.-_ ", max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COUNTS = st.integers(0, 2 ** 31)
+
+
+@st.composite
+def run_records(draw):
+    """RunRecords of k = 1..3 species: every float finite (any sign, full
+    precision), eps empty for k = 1, one alive flag per species."""
+    k = draw(st.integers(1, 3))
+    floats = lambda n: st.tuples(*[FINITE] * n)
+    return lab.RunRecord(
+        draw(LABELS), draw(LABELS), draw(FINITE), k, draw(FINITE), draw(FINITE),
+        draw(floats(k - 1)), draw(COUNTS), draw(LABELS), draw(COUNTS),
+        draw(st.booleans()), draw(floats(k)), draw(floats(k)), draw(FINITE),
+        draw(FINITE), draw(st.tuples(*[st.booleans()] * k)), draw(FINITE),
+        draw(FINITE), draw(LABELS))
+
+
+class TestRecordRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(run_records(), min_size=1, max_size=4))
+    def test_csv_round_trip_is_exact(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            lab.write_records_csv(records, path)
+            assert lab.read_records_csv(path) == records
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_records())
+    def test_coordinate_key_is_first_eight_cells(self, rec):
+        assert rec.coordinate_key() == "|".join(rec.to_row()[:8])
+
+    def test_columns_are_the_record_fields(self):
+        assert lab.CSV_COLUMNS == [
+            "experiment", "domain", "h", "k", "lam", "kappa", "eps", "seed",
+            "start", "iters", "converged", "dirichlet", "potential",
+            "interaction", "total", "alive", "overlap", "wall_time", "verdict"]
 
 
 class TestSweep:

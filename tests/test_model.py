@@ -215,6 +215,20 @@ class TestCustomValidation:
         wrapped = custom_coupling(ok.H, ok.dH, 2, rng=0)
         assert wrapped.kind == "custom"
 
+    def test_custom_coupling_gradient_checked(self):
+        # dH must be the gradient of H: the quartic's with dH tripled is not
+        for k in (2, 3):
+            q = coupling_quartic(k)
+            custom_coupling(q.H, q.dH, k, rng=1)
+            with pytest.raises(ValueError, match="slope of H"):
+                custom_coupling(q.H, lambda s: 3.0 * q.dH(s), k, rng=1)
+        product = custom_coupling(lambda s: s[0] * s[1],
+                                  lambda s: np.stack([s[1], s[0]]), 2, rng=2)
+        assert product.kind == "custom"
+        with pytest.raises(ValueError, match="slope of H"):
+            custom_coupling(lambda s: s[0] * s[1],
+                            lambda s: np.stack([s[0], s[1]]), 2, rng=2)
+
 
 class TestCutoff:
     def test_ramp_plateaus(self):
