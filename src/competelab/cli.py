@@ -282,6 +282,9 @@ def cmd_sweep(args) -> int:
     )
     log = (lambda *a: None) if args.quiet else print
     expected = len(list(spec.coordinates()))
+    # A domain the lab rejects is a config error (exit 1, no output
+    # directory), not a partial sweep.
+    lab.build_domain(spec.domain)
     try:
         summary = lab.run_sweep(spec, jobs=args.jobs, log=log)
     except Exception as exc:  # a failed point leaves the sweep partial

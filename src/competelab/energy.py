@@ -9,7 +9,10 @@ quadrature with weight h^2.  With this convention the map
     grad_i = -Lap(u_i) - lam * f_i(u_i) + kappa * dH_i(U)
 
 is the exact derivative of the total energy up to the factor h^2: the
-directional derivative along d equals h^2 * sum(grad * d).
+directional derivative along d equals h^2 * sum(grad * d).  In the same
+units the Hessian applied to a stack V is
+
+    L v_i / h^2 - lam * f_i'(u_i) v_i + kappa * (Hess H(U) V)_i.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import DomainMask
-from .model import Coupling, ScaledFamily, F_eval, f_eval
+from .model import Coupling, ScaledFamily, F_eval, df_eval, f_eval
 
 
 # The refined mask solve: relative residual of its conjugate-gradient
@@ -297,7 +300,8 @@ class Objective:
     of a solve; ``Objective.of(sys)`` takes them from a system.  Iterates
     are (k, n) stacks.  Species energies are J_i(v) = 0.5 v.(L v) -
     lam h^2 sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0
-    and there are two or more species to couple.
+    and there are two or more species to couple.  ``hessp`` applies the
+    Hessian of the total.
     """
 
     def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
@@ -338,6 +342,17 @@ class Objective:
         if self.coupled:
             g += self.kappa * self.coupling.dH(U)
         return g
+
+    def hessp(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Hessian at U applied to the stack V, in the units of ``grad``:
+        L v_i / h^2 - lam f_i'(u_i) v_i + kappa (Hess H(U) V)_i."""
+        out = np.empty_like(V)
+        for i in range(U.shape[0]):
+            out[i] = (self.L @ V[i] / self.h2
+                      - self.lam * df_eval(self.fam, i + 1, U[i]) * V[i])
+        if self.coupled:
+            out += self.kappa * self.coupling.d2H(U, V)
+        return out
 
     def report(self, U: np.ndarray) -> EnergyReport:
         """Per-term breakdown of the energy of U.

@@ -11,6 +11,11 @@ so its cap is beta_i = beta eps_i / sqrt(k) and its potential integrates
 to alpha/k over [0, beta_i].  The coupling H is a nonnegative C^1
 penalty that vanishes whenever at most one density is nonzero; the stock
 choice is the quartic H(s) = 1/2 sum_{i != j} s_i^2 s_j^2.
+
+The stock law and the quartic carry closed-form second derivatives (g'
+and the pointwise Hessian of H), which the free solver's Newton step
+uses; a law or coupling built without them gets central differences of
+g or dH with step ANTIDERIVATIVE_STEP.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 # The central-difference checks of G against g (custom_nonlinearity) and
 # of dH against H (custom_coupling): sample count on (0, 2 beta] for G,
 # step (relative to beta for G), and tolerance relative to max(1, max |g|)
-# or max(1, max |dH|).
+# or max(1, max |dH|).  The step also derives g' and the Hessian of H
+# when they are not given in closed form.
 ANTIDERIVATIVE_SAMPLES = 64
 ANTIDERIVATIVE_STEP = 1e-6
 ANTIDERIVATIVE_TOL = 1e-4
@@ -34,7 +40,8 @@ class Nonlinearity:
     """Single-species growth law g with its structural constants.
 
     ``G`` is the closed-form antiderivative of g (zero at zero), from which
-    every potential is evaluated.
+    every potential is evaluated.  ``dg`` is the derivative of g; left out,
+    it is the central difference of g with step ANTIDERIVATIVE_STEP * beta.
     """
 
     g: Callable
@@ -43,6 +50,21 @@ class Nonlinearity:
     alpha: float
     G: Callable
     name: str = "custom"
+    dg: Callable | None = None
+
+    def __post_init__(self):
+        if self.dg is None:
+            object.__setattr__(self, "dg", _central_slope(
+                self.g, ANTIDERIVATIVE_STEP * self.beta))
+
+
+def _central_slope(g: Callable, step: float) -> Callable:
+    """The central difference (g(s + step) - g(s - step)) / (2 step)."""
+    def dg(s):
+        s = np.asarray(s, dtype=float)
+        return (np.asarray(g(s + step), dtype=float)
+                - np.asarray(g(s - step), dtype=float)) / (2.0 * step)
+    return dg
 
 
 def logistic() -> Nonlinearity:
@@ -56,8 +78,12 @@ def logistic() -> Nonlinearity:
         tp = np.maximum(t, 0.0)
         return tp * tp / 2.0 - tp ** 3 / 3.0
 
+    def dg(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s > 0, 1.0 - 2.0 * s, 0.0)
+
     return Nonlinearity(g=g, beta=1.0, gmax=0.25, alpha=1.0 / 6.0, G=G,
-                        name="logistic")
+                        name="logistic", dg=dg)
 
 
 def custom_nonlinearity(g: Callable, G: Callable, beta: float, gmax: float,
@@ -69,7 +95,8 @@ def custom_nonlinearity(g: Callable, G: Callable, beta: float, gmax: float,
     be negative at sampled points beyond beta.  G must vanish at 0 and
     its central-difference slope must match g at sampled points of
     (0, 2 beta], which ties alpha = G(beta) to the integral of g over
-    [0, beta]; alpha must be positive.
+    [0, beta]; alpha must be positive.  The law's derivative is the
+    central difference of g.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -159,6 +186,14 @@ def f_eval(fam: ScaledFamily, i: int, s):
     return a * fam.base.g(c * np.asarray(s, dtype=float))
 
 
+def df_eval(fam: ScaledFamily, i: int, s):
+    """Derivative f_i'(s) = a c g'(c s) of species i's law; vectorized."""
+    a, c = fam._scale(i)
+    if c == 1.0:
+        return fam.base.dg(s)
+    return a * c * fam.base.dg(c * np.asarray(s, dtype=float))
+
+
 def F_eval(fam: ScaledFamily, i: int, s):
     """Potential of species i: the integral of its law from 0 to s.
 
@@ -175,17 +210,42 @@ class Coupling:
 
     ``H`` maps a (k, ...) stack of densities to the pointwise penalty;
     ``dH`` returns the full stack of partials with the same shape as its
-    input.
+    input.  ``d2H(s, v)`` applies the pointwise Hessian of H at s to the
+    stack v; left out, it is the central difference of dH along v.
     """
 
     H: Callable
     dH: Callable
     k: int
     kind: str = "custom"
+    d2H: Callable | None = None
+
+    def __post_init__(self):
+        if self.d2H is None:
+            object.__setattr__(self, "d2H", _directional_slope(self.dH))
+
+
+def _directional_slope(dH: Callable) -> Callable:
+    """d2H(s, v) as the central difference of dH along v, with step
+    ANTIDERIVATIVE_STEP relative to max |v|."""
+    def d2H(s, v):
+        s = np.asarray(s, dtype=float)
+        v = np.asarray(v, dtype=float)
+        scale = float(np.max(np.abs(v)))
+        if scale == 0.0:
+            return np.zeros_like(v)
+        t = ANTIDERIVATIVE_STEP / scale
+        return (np.asarray(dH(s + t * v), dtype=float)
+                - np.asarray(dH(s - t * v), dtype=float)) / (2.0 * t)
+    return d2H
 
 
 def coupling_quartic(k: int) -> Coupling:
-    """H(s) = 1/2 sum_{i != j} s_i^2 s_j^2 with dH_i = 2 s_i sum_{j != i} s_j^2."""
+    """H(s) = 1/2 sum_{i != j} s_i^2 s_j^2 with dH_i = 2 s_i sum_{j != i} s_j^2.
+
+    Its Hessian applied to v is 2 (sum_j s_j^2 - s_i^2) v_i
+    + 4 s_i (sum_j s_j v_j - s_i v_i).
+    """
     if k < 2:
         raise ValueError("coupling needs at least two species")
 
@@ -201,7 +261,18 @@ def coupling_quartic(k: int) -> Coupling:
         tot = s2.sum(axis=0)
         return 2.0 * s * (tot - s2)
 
-    return Coupling(H=H, dH=dH, k=k, kind="quartic")
+    def d2H(s, v):
+        # the docstring's form regrouped: (2 sum_j s_j^2 - 6 s_i^2) v_i
+        # + 4 s_i sum_j s_j v_j, with fewer temporaries
+        s = np.asarray(s, dtype=float)
+        v = np.asarray(v, dtype=float)
+        s2 = s * s
+        out = 2.0 * s2.sum(axis=0) - 6.0 * s2
+        out *= v
+        out += 4.0 * s * (s * v).sum(axis=0)
+        return out
+
+    return Coupling(H=H, dH=dH, k=k, kind="quartic", d2H=d2H)
 
 
 def custom_coupling(H: Callable, dH: Callable, k: int, rng=None,
@@ -210,7 +281,7 @@ def custom_coupling(H: Callable, dH: Callable, k: int, rng=None,
 
     At sampled densities H must be nonnegative, s_i dH_i nonnegative, and
     dH must match central differences of H; H must vanish when at most
-    one density is nonzero.
+    one density is nonzero.  The Hessian is the central difference of dH.
     """
     rng = np.random.default_rng(rng)
     s = rng.uniform(0.0, 1.0, size=(k, samples))

@@ -290,6 +290,18 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
 
+    def test_rejected_domain_exits_1_without_output(self, tmp_path, capsys):
+        # A domain build_domain rejects is a config error, as for minimize,
+        # not a partial sweep (exit 2), and it leaves no output directory.
+        out = str(tmp_path / "sw")
+        cfg = self.sweep_config(out)
+        cfg["domain"] = {"kind": "rectangle", "width": 0.15, "height": 0.15,
+                         "h": 0.1}
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
     def test_resume_skips_done(self, tmp_path, capsys):
         out = str(tmp_path / "sw")
         path = write_config(tmp_path, "s.json", self.sweep_config(out))

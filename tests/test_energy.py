@@ -252,6 +252,35 @@ class TestObjective:
                               coupled.grad(U, LU))
 
 
+    @pytest.mark.parametrize("k,kappa", [(1, 0.0), (2, 0.0), (2, 250.0),
+                                         (3, 0.0), (3, 40.0)])
+    @pytest.mark.parametrize("build", [lambda: build_rectangle(1, 1, 1 / 16),
+                                       lambda: build_wedge(2.0, 0.05)],
+                             ids=["square", "wedge"])
+    def test_hessp_matches_gradient_differences(self, build, k, kappa):
+        # States in (0.05, 0.95) beta_i sit on no kink of the growth laws,
+        # so central differences of grad are second-order accurate.
+        sys = make_system(build(), k, 90.0, kappa, eps=(0.4, 0.7)[:k - 1],
+                          rng=np.random.default_rng(10 + k))
+        obj = Objective.of(sys)
+        U = sys.stacked()
+        V = np.random.default_rng(k).normal(size=U.shape) * sys.fam.betas[:, None]
+        t = 1e-6
+        grad = lambda W: obj.grad(W, np.stack([obj.L @ w for w in W]))
+        fd = (grad(U + t * V) - grad(U - t * V)) / (2 * t)
+        HV = obj.hessp(U, V)
+        assert np.max(np.abs(HV - fd)) <= 1e-6 * np.max(np.abs(HV))
+
+    def test_hessp_is_symmetric(self):
+        sys = make_system(build_wedge(2.0, 0.05), 3, 90.0, 40.0)
+        obj = Objective.of(sys)
+        U = sys.stacked()
+        rng = np.random.default_rng(5)
+        V, W = rng.normal(size=U.shape), rng.normal(size=U.shape)
+        assert np.sum(W * obj.hessp(U, V)) == pytest.approx(
+            np.sum(V * obj.hessp(U, W)), rel=1e-12)
+
+
 class TestLambda1:
     def test_square_analytic(self):
         lam = lambda1(build_rectangle(1, 1, 1 / 32))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from competelab.model import (Coupling, F_eval, ScaledFamily,
                               coupling_quartic, custom_coupling,
-                              custom_nonlinearity, cutoff_phi, f_eval,
+                              custom_nonlinearity, cutoff_phi, df_eval, f_eval,
                               identical_family, logistic, scaled_family)
 
 
@@ -157,6 +157,21 @@ class TestQuarticCoupling:
         with pytest.raises(ValueError):
             coupling_quartic(1)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hessian_matches_differences_of_partials(self, k):
+        C = coupling_quartic(k)
+        rng = np.random.default_rng(k)
+        s = rng.uniform(0.0, 1.0, size=(k, 50))
+        v = rng.normal(size=(k, 50))
+        t = 1e-6
+        fd = (C.dH(s + t * v) - C.dH(s - t * v)) / (2 * t)
+        assert np.max(np.abs(C.d2H(s, v) - fd)) < 1e-7
+        # the Hessian applied to a unit vector is a column of second partials
+        e = np.zeros((k, 50))
+        e[0] = 1.0
+        col = C.d2H(s, e)
+        assert np.allclose(col[1:], 4.0 * s[0] * s[1:], rtol=1e-14)
+
 
 def cubic_law():
     """g(s) = s - s^3 for s > 0 and its antiderivative s^2/2 - s^4/4."""
@@ -166,6 +181,38 @@ def cubic_law():
     G = lambda s: (np.maximum(np.asarray(s, dtype=float), 0.0) ** 2 / 2
                    - np.maximum(np.asarray(s, dtype=float), 0.0) ** 4 / 4)
     return g, G
+
+
+class TestSecondDerivatives:
+    def test_logistic_slope_closed_form(self):
+        dg = logistic().dg
+        assert dg(0.25) == 0.5 and dg(1.0) == -1.0
+        assert dg(0.0) == 0.0 and dg(-2.0) == 0.0
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_species_slope_matches_differences(self, i):
+        fam = scaled_family(logistic(), 3, (0.4, 0.7))
+        s = np.linspace(0.05, 0.95, 19) * fam.betas[i - 1]
+        t = 1e-7
+        fd = (f_eval(fam, i, s + t) - f_eval(fam, i, s - t)) / (2 * t)
+        assert np.allclose(df_eval(fam, i, s), fd, rtol=0, atol=1e-6)
+
+    def test_custom_law_derives_the_closed_form(self):
+        stock = logistic()
+        law = custom_nonlinearity(stock.g, G=stock.G, beta=1.0, gmax=0.25)
+        s = np.random.default_rng(0).uniform(0.05, 1.95, 200)
+        assert np.allclose(law.dg(s), stock.dg(s), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_custom_coupling_derives_the_quartic_hessian(self, k):
+        q = coupling_quartic(k)
+        wrapped = custom_coupling(q.H, q.dH, k, rng=0)
+        rng = np.random.default_rng(k)
+        s = rng.uniform(0.05, 0.95, (k, 200))
+        v = rng.normal(size=(k, 200))
+        ref = q.d2H(s, v)
+        assert np.max(np.abs(wrapped.d2H(s, v) - ref)) <= 1e-7 * np.abs(ref).max()
+        assert np.array_equal(wrapped.d2H(s, np.zeros_like(v)), np.zeros_like(v))
 
 
 class TestCustomValidation:

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from competelab.energy import DensityField, SpeciesSystem, energy_total
+from competelab.energy import (DensityField, Objective, SpeciesSystem, _ops,
+                               energy_total)
 from competelab.geometry import build_disc, build_rectangle, build_wedge
 from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
-from competelab.solve import (SolverConfig, alive_flags, default_initializers,
-                              kappa_continuation, merged_system, minimize_free,
+from competelab.solve import (STEP0, SolverConfig, _h1_shifts,
+                              _newton_direction, _projected_step, alive_flags,
+                              default_initializers, kappa_continuation,
+                              merged_system, minimize_free,
                               minimize_multistart, minimize_partition,
                               segregation_projection)
 
@@ -191,6 +194,58 @@ class TestPreconditionedDescent:
                             SolverConfig(tol_residual=1e-30, max_iters=200))
         assert not res.converged
         assert res.stop_reason in ("max_iters", "step_underflow")
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+    def test_stiff_continuation_converges_in_few_steps(self, h):
+        # The stiff end of criterion 9's continuation (wedge m = 2, lam 200,
+        # eps2 0.6).  The H^1 direction needed 393 (h = 1/32) and 508
+        # (h = 1/64) iterations at kappa = 1000: no positive shift of the
+        # metric represents the negative curvature -lam f_i'(u_i).
+        mask = build_wedge(2.0, h)
+        fam = scaled_family(logistic(), 2, (0.6,))
+        cfg = SolverConfig(restarts=0)
+        best, _ = minimize_multistart(mask, fam, 200.0,
+                                      coupling=coupling_quartic(2), kappa=10.0,
+                                      cfg=cfg)
+        results = kappa_continuation(best.system,
+                                     [10.0, 30.0, 100.0, 300.0, 1000.0], cfg)
+        iters = [r.iters for r in results]
+        assert all(r.converged for r in results), iters
+        assert max(iters) <= 20, iters
+        assert all(r.cg_iters > 0 for r in results)
+
+    def test_negative_curvature_at_once_takes_the_h1_step(self):
+        # A small uniform density far above lambda1: the Hessian
+        # L/h^2 - lam f'(u) is negative along the first preconditioned
+        # residual, so the solver must take the H^1 step bit for bit.
+        mask = build_disc(1.0, 1 / 32)
+        fam = single_fam()
+        h2, lam = mask.h ** 2, 200.0
+        U = np.full((1, mask.n_interior), 1e-3)
+        sys0 = zero_system(mask, fam, lam).replace_values(U)
+        obj, box = Objective.of(sys0), _ops(mask).box_solver()
+        caps = fam.betas[:, None]
+        E, LU = obj.value(U)
+        grad = obj.grad(U, LU)
+        shifts = _h1_shifts(fam, lam, h2)
+        assert _newton_direction(obj, box, U, grad, caps, shifts) == (None, 1)
+        D = -h2 * box.mask_solve(grad, shifts)
+        U_h1, E_h1, _, _, how = _projected_step(
+            obj.value, U, E, grad, D, caps, STEP0 * h2, 1e9 * STEP0 * h2, h2)
+        assert how == "precond"
+        res = minimize_free(sys0, SolverConfig(max_iters=1))
+        assert np.array_equal(res.system.stacked(), U_h1)
+        assert res.energies[-1] == E_h1
+        assert res.cg_iters == 1
+
+    def test_partition_takes_no_cg_steps(self):
+        mask = build_wedge(2.0, 1 / 24)
+        fam = scaled_family(logistic(), 2, (0.5,))
+        starts = dict(default_initializers(mask, fam, 300.0,
+                                           cfg=SolverConfig(restarts=0)))
+        assert minimize_partition(starts["seeded"], SolverConfig()).cg_iters == 0
 
 
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
