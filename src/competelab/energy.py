@@ -26,13 +26,6 @@ from .geometry import DomainMask
 from .model import Coupling, ScaledFamily, F_eval, df_eval, f_eval
 
 
-# The refined mask solve: relative residual of its conjugate-gradient
-# iteration, the iteration cap, and the power steps of the overshoot test.
-MASK_SOLVE_TOL = 0.1
-MASK_SOLVE_MAXITER = 50
-OVERSHOOT_ITERS = 5
-
-
 class _MaskOps:
     """Per-mask stencil operator cache (built once, shared read-only)."""
 
@@ -52,13 +45,13 @@ class _MaskOps:
         vals = np.concatenate(vals)
         # L = -h^2 * discrete Laplacian, symmetric positive definite
         self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._box_args = (mask._ii, mask._jj, (nbr < 0).any(axis=1))
+        self._box_args = (mask._ii, mask._jj)
         self._box = None
 
     def box_solver(self) -> "_BoxSolver":
         """The mask's box solver, built on first use and cached."""
         if self._box is None:
-            self._box = _BoxSolver(self.L, *self._box_args)
+            self._box = _BoxSolver(*self._box_args)
         return self._box
 
 
@@ -66,15 +59,6 @@ def _sine_matrix(n: int) -> np.ndarray:
     """Orthonormal DST-I matrix of order n: symmetric and its own inverse."""
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
-
-
-def _rowdot(A, B):
-    return np.einsum("ij,ij->i", A, B)
-
-
-def _ratio(a, b):
-    """a / b, reading 0 where b is 0 (rows that are already solved)."""
-    return np.divide(a, b, out=np.zeros_like(a), where=b > 0)
 
 
 class _BoxSolver:
@@ -90,12 +74,14 @@ class _BoxSolver:
     per-call set-up, which is what dominates on the lab's boxes (README,
     "Solver").  On a rectangle the box is the mask and the solve is exact; on
     any other mask ``P = R (L_box + shift I)^-1 R^T`` (R the restriction to
-    the mask) is still symmetric positive definite.  A new shift changes
-    only the divisor, so nothing is factorized or rebuilt per shift.
+    the mask) is still symmetric positive definite, and ``P (L + shift I)``
+    has spectrum in [1, mu_max].  On curved masks mu_max grows like 1/h,
+    carried by modes along the boundary, so a descent preconditioned by P
+    alone needs more steps as the mesh is refined there.  A new shift
+    changes only the divisor, so nothing is factorized or rebuilt per shift.
     """
 
-    def __init__(self, L, ii, jj, rim):
-        self.L = L
+    def __init__(self, ii, jj):
         rows, cols = ii - ii.min(), jj - jj.min()
         nx, ny = int(rows.max()) + 1, int(cols.max()) + 1
         self.flat = rows * ny + cols     # mask node -> position in the box
@@ -103,9 +89,6 @@ class _BoxSolver:
         ex = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))
         ey = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))
         self.eig = ex[:, None] + ey[None, :]
-        self.exact = ii.size == nx * ny  # the mask fills its box
-        self._rim = rim.astype(float)    # nodes with a non-interior neighbor
-        self._overshoot = {}
 
     def solve(self, B: np.ndarray, shifts) -> np.ndarray:
         """Apply the shifted inverse to each row of B (shape (k, n) or (n,)).
@@ -121,67 +104,6 @@ class _BoxSolver:
         coef /= self.eig + np.asarray(shifts, dtype=float).reshape(-1, 1, 1)
         out = (self.sx @ coef @ self.sy).reshape(rows.shape[0], -1)
         return out[:, self.flat].reshape(B.shape)
-
-    def mask_solve(self, B: np.ndarray, shifts) -> np.ndarray:
-        """Rows of ``(L + shift_i I)^-1 B_i`` on the mask itself.
-
-        ``P (L + shift I)`` has spectrum in [1, mu_max], and mu_max grows
-        like 1/h on curved masks, carried by modes along the boundary.
-        Where mu_max <= 2 a unit step along ``P b`` contracts every mode,
-        so the box solve is returned as it is (always on rectangles).
-        Elsewhere those modes would grow under unit steps and stall the
-        descent on fine meshes, so the box solve preconditions conjugate
-        gradients on the mask, run until the residual is below
-        MASK_SOLVE_TOL times |b|.
-        """
-        B = np.asarray(B, dtype=float)
-        rows = np.atleast_2d(B)
-        shifts = np.broadcast_to(np.asarray(shifts, dtype=float),
-                                 (rows.shape[0],))
-        Z = self.solve(rows, shifts)
-        refine = [i for i, s in enumerate(shifts) if self._overshoots(s)]
-        if refine:
-            Z[refine] = self._pcg(rows[refine], Z[refine], shifts[refine])
-        return Z.reshape(B.shape)
-
-    def _pcg(self, B, Z, shifts):
-        """Preconditioned conjugate gradients from zero; Z = P B."""
-        X = np.zeros_like(B)
-        R = B.copy()
-        D = Z.copy()
-        rz = _rowdot(R, Z)
-        stop = MASK_SOLVE_TOL ** 2 * _rowdot(B, B)
-        for _ in range(MASK_SOLVE_MAXITER):
-            AD = (self.L @ D.T).T + shifts[:, None] * D
-            alpha = _ratio(rz, _rowdot(D, AD))
-            X += alpha[:, None] * D
-            R -= alpha[:, None] * AD
-            if np.all(_rowdot(R, R) <= stop):
-                break
-            Z = self.solve(R, shifts)
-            rz_new = _rowdot(R, Z)
-            D = Z + _ratio(rz_new, rz)[:, None] * D
-            rz = rz_new
-        return X
-
-    def _overshoots(self, shift: float) -> bool:
-        """Whether mu_max of ``P (L + shift I)`` exceeds 2 (cached per shift).
-
-        A few power steps from the rim indicator, which excites the
-        boundary modes; each Rayleigh quotient is a lower bound on mu_max.
-        """
-        if self.exact:
-            return False
-        shift = float(shift)
-        if shift not in self._overshoot:
-            v = self._rim
-            for _ in range(OVERSHOOT_ITERS):
-                z = self.L @ v + shift * v
-                w = self.solve(z, shift)
-                mu = float(z @ w) / float(v @ z)
-                v = w / np.linalg.norm(w)
-            self._overshoot[shift] = mu > 2.0
-        return self._overshoot[shift]
 
 
 def _ops(mask: DomainMask) -> _MaskOps:

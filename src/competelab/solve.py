@@ -18,11 +18,12 @@ Newton direction captures the negative curvature -lam f_i'(u_i) that no
 positive shift of the Sobolev metric can, so the stiff end of a
 competition continuation takes a few steps instead of hundreds.
 
-The partition minimizer steps along the Sobolev gradient, whose shift
-makes its iteration count independent of the mesh width.  The energy
-module applies that inverse matrix-free: a DST solve on the mask's
-bounding box, refined by a few preconditioned conjugate gradient steps
-on masks where the box solve alone would overshoot.
+The partition minimizer steps along the Sobolev gradient.  The energy
+module applies its inverse matrix-free, as a DST solve on the mask's
+bounding box; both minimizers use that one solve.  On rectangles the box
+is the mask, and the shift makes the partition iteration count
+independent of the mesh width.  On curved masks the box solve is only a
+preconditioner for the mask's operator, and the count grows with 1/h.
 
 The trial clip(U + t d), t = 1, 1/2, ..., to [0, beta_i] is accepted on
 an Armijo test against the linear model h^2 * sum(grad * (U_new - U));
@@ -98,6 +99,10 @@ class SolverConfig:
     coexist_eta: float | None = None    # None -> 1e-3 * beta_i * sqrt(|Omega|)
 
     def __post_init__(self):
+        for name, low in (("max_iters", 1), ("restarts", 0), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.tol_residual is not None and self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
         if self.coexist_eta is not None and self.coexist_eta <= 0:
@@ -290,7 +295,7 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
         D, cg = _newton_direction(obj, box, U, grad, caps, shifts)
         cg_iters += cg
         if D is None:   # negative curvature at once: the H^1 direction
-            D = -h2 * box.mask_solve(grad, shifts)
+            D = -h2 * box.solve(grad, shifts)
         # A null step repeats forever, so it ends the solve at once; above
         # the residual tolerance it is not allowed, or it would spin.
         U_new, E_new, LU_new, step, how = _projected_step(
@@ -486,10 +491,11 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     """Alternating descent/projection scheme for the segregated problem.
 
     Ignores the competition rate: each species takes one projected step
-    on its own single-species energy, then the segregation projection
-    restores pairwise disjoint supports.  Terminates when every species'
-    step is flat or on an energy stall of the segregated total.  The
-    output is segregated nodewise by construction.
+    along its box-solve Sobolev gradient on its own single-species energy,
+    then the segregation projection restores pairwise disjoint supports.
+    Terminates when every species' step is flat or on an energy stall of
+    the segregated total; on curved masks the step count grows with 1/h.
+    The output is segregated nodewise by construction.
     """
     t0 = time.perf_counter()
     box = _ops(sys0.mask).box_solver()
@@ -528,7 +534,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     it = 0
     for it in range(1, cfg.max_iters + 1):
         grad = obj.grad(U, LU)
-        D = -h2 * box.mask_solve(grad, shifts)
+        D = -h2 * box.solve(grad, shifts)
         flat = 0
         for i in range(k):
             value = lambda v, i=i: species_value(v, i)

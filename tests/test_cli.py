@@ -87,6 +87,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_solver({"tol_energy": -1.0})
 
+    @pytest.mark.parametrize("key, value", [("restarts", 1.0), ("max_iters", 5e3),
+                                            ("seed", 1.5), ("restarts", -3),
+                                            ("max_iters", 0), ("restarts", True)])
+    def test_solver_integer_settings_checked(self, tmp_path, capsys, key, value):
+        cfg = base_run_config(str(tmp_path / "o"))
+        cfg["solver"][key] = value
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid solver config" in err and key in err
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfg = base_run_config(str(tmp_path / "o"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["minimize", "--config", path, "--seed", "-1"]) == 1
+        assert "invalid solver config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["tol_energy", "step0", "armijo_shrink",
                                      "armijo_c", "step_growth", "stall_window"])
     def test_solver_constant_is_not_a_key(self, tmp_path, capsys, key):

@@ -123,9 +123,10 @@ class TestPreconditionedDescent:
                              ids=["square", "disc"])
     def test_iterations_independent_of_mesh(self, build, lam):
         # Euclidean descent needs 1607 and 6379 iterations at lam = 50 on
-        # the square at h = 1/32 and 1/64; the H^1 direction keeps the
-        # count flat.  On the disc the box solve alone stalls at h = 1/128,
-        # lam = 50, with the residual stuck above tolerance.
+        # the square at h = 1/32 and 1/64; the preconditioned Newton
+        # direction keeps the count flat.  On the disc the H^1 direction by
+        # the box solve alone stalls at h = 1/128, lam = 50, with the
+        # residual stuck above tolerance; the Newton direction does not.
         for h in (1 / 32, 1 / 64, 1 / 128):
             res = single_start_solve(build, h, lam, max_iters=60)
             assert res.stop_reason == "residual", (h, res.iters)
@@ -231,7 +232,7 @@ class TestNewtonStep:
         grad = obj.grad(U, LU)
         shifts = _h1_shifts(fam, lam, h2)
         assert _newton_direction(obj, box, U, grad, caps, shifts) == (None, 1)
-        D = -h2 * box.mask_solve(grad, shifts)
+        D = -h2 * box.solve(grad, shifts)
         U_h1, E_h1, _, _, how = _projected_step(
             obj.value, U, E, grad, D, caps, STEP0 * h2, 1e9 * STEP0 * h2, h2)
         assert how == "precond"
@@ -420,6 +421,37 @@ class TestPartition:
                           if r.start_label.startswith(("single", "uniform")))
         assert best.energy < single_best
 
+    @pytest.mark.parametrize("h,seed,reference", [(1 / 32, 0, -4.146295219987554),
+                                                  (1 / 96, 8, -4.256698820254886)])
+    def test_wedge_partition_minimum_pinned(self, h, seed, reference):
+        # The partition solves of the system2-wedge benchmark (h = 1/32) and
+        # of criterion 8 (h = 1/96).  reference: the best found when the
+        # direction refined the box solve by CG on the mask.  The plain box
+        # solve may take more steps on curved masks but not end higher.
+        fam = scaled_family(logistic(), 2, (0.6,))
+        cfg = SolverConfig(restarts=2, max_iters=60000, seed=seed)
+        best, results = minimize_multistart(build_wedge(2.0, h), fam, 200.0,
+                                            coupling=coupling_quartic(2),
+                                            cfg=cfg, partition=True)
+        assert best.energy <= reference + 1e-9 * abs(reference)
+        assert all(r.converged for r in results)
+
+    @pytest.mark.parametrize("lam", [60.0, 200.0, 800.0])
+    @pytest.mark.parametrize("mask", [build_rectangle(1, 1, 1 / 32),
+                                      build_disc(1.0, 1 / 32),
+                                      build_wedge(2.0, 1 / 32)],
+                             ids=["square", "disc", "wedge"])
+    def test_k1_partition_agrees_with_free(self, mask, lam):
+        # One species has nothing to segregate, so both solvers minimize the
+        # same energy, whose positive minimizer is unique.
+        cfg = SolverConfig(restarts=0)
+        starts = dict(default_initializers(mask, single_fam(), lam, cfg=cfg))
+        for label in ("single", "uniform"):
+            free = minimize_free(starts[label], cfg)
+            part = minimize_partition(starts[label], cfg)
+            assert free.converged and part.converged, label
+            assert part.energy == pytest.approx(free.energy, rel=1e-8), label
+
 
 class TestContinuation:
     def test_schedule_must_increase(self):
@@ -470,8 +502,12 @@ class TestAliveFlags:
 
 class TestConfigValidation:
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(coexist_eta=-1.0)
+        for bad in ({"coexist_eta": -1.0}, {"tol_residual": 0.0},
+                    {"max_iters": 5e3}, {"max_iters": 0}, {"restarts": 1.0},
+                    {"restarts": -3}, {"restarts": True}, {"seed": 1.5},
+                    {"seed": -1}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
     def test_with_override(self):
         cfg = SolverConfig().with_(restarts=3, seed=9)
