@@ -17,6 +17,7 @@ units the Hessian applied to a stack V is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,21 @@ class _MaskOps:
         vals = np.concatenate(vals)
         # L = -h^2 * discrete Laplacian, symmetric positive definite
         self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        self._stacked = {1: self.L}
         self._box_args = (mask._ii, mask._jj)
         self._box = None
+
+    def stacked_L(self, k: int):
+        """Block-diagonal diag(L, ..., L) with k blocks, cached per k.
+
+        ``stacked_L(k) @ U.ravel()`` applies L to every row of a (k, n)
+        stack in one sparse product.  L is canonical CSR, so each row of
+        the block matrix holds L's entries in L's order, and every row sum
+        is bit-identical to the one in ``L @ U[i]``.
+        """
+        if k not in self._stacked:
+            self._stacked[k] = sp.block_diag([self.L] * k, format="csr")
+        return self._stacked[k]
 
     def box_solver(self) -> "_BoxSolver":
         """The mask's box solver, built on first use and cached."""
@@ -89,6 +103,7 @@ class _BoxSolver:
         ex = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))
         ey = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))
         self.eig = ex[:, None] + ey[None, :]
+        self._scatter = {}   # row count k -> flat positions in a (k, box) array
 
     def solve(self, B: np.ndarray, shifts) -> np.ndarray:
         """Apply the shifted inverse to each row of B (shape (k, n) or (n,)).
@@ -97,13 +112,21 @@ class _BoxSolver:
         """
         B = np.asarray(B, dtype=float)
         rows = np.atleast_2d(B)
-        box = np.zeros((rows.shape[0], self.eig.size))
-        box[:, self.flat] = rows
-        box = box.reshape((-1,) + self.eig.shape)
+        k = rows.shape[0]
+        box = np.zeros((k,) + self.eig.shape)
+        np.put(box, self._scatter_index(k), rows)
         coef = self.sx @ box @ self.sy
         coef /= self.eig + np.asarray(shifts, dtype=float).reshape(-1, 1, 1)
-        out = (self.sx @ coef @ self.sy).reshape(rows.shape[0], -1)
-        return out[:, self.flat].reshape(B.shape)
+        out = (self.sx @ coef @ self.sy).reshape(k, -1)
+        return out.take(self.flat, axis=1).reshape(B.shape)
+
+    def _scatter_index(self, k: int) -> np.ndarray:
+        """Flat positions of a (k, n) stack's entries in a (k, box) array."""
+        idx = self._scatter.get(k)
+        if idx is None:
+            idx = (self.flat + self.eig.size * np.arange(k)[:, None]).ravel()
+            self._scatter[k] = idx
+        return idx
 
 
 def _ops(mask: DomainMask) -> _MaskOps:
@@ -162,10 +185,12 @@ class SpeciesSystem:
             raise ValueError("all fields must share one mask")
         if len(fields) != fam.k:
             raise ValueError("field count must match the family's species count")
-        if lam <= 0:
-            raise ValueError("growth scale lam must be positive")
-        if kappa < 0:
-            raise ValueError("competition rate kappa must be nonnegative")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError("growth scale lam must be finite and positive, "
+                             f"got {lam!r}")
+        if not (math.isfinite(kappa) and kappa >= 0):
+            raise ValueError("competition rate kappa must be finite and "
+                             f"nonnegative, got {kappa!r}")
         if kappa > 0 and coupling is None and fam.k > 1:
             raise ValueError("positive kappa requires a coupling")
         self.mask = mask
@@ -222,13 +247,17 @@ class Objective:
     of a solve; ``Objective.of(sys)`` takes them from a system.  Iterates
     are (k, n) stacks.  Species energies are J_i(v) = 0.5 v.(L v) -
     lam h^2 sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0
-    and there are two or more species to couple.  ``hessp`` applies the
-    Hessian of the total.
+    and there are two or more species to couple.  ``hessian(U)`` returns
+    the Hessian of the total at U as an operator on stacks, with the
+    factors that depend on U alone computed once.  Stacks meet L in one
+    sparse product with the block-diagonal ``diag(L, ..., L)``.
     """
 
     def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
                  coupling: Coupling | None = None, kappa: float = 0.0):
-        self.L = _ops(mask).L
+        ops = _ops(mask)
+        self.L = ops.L
+        self.Lk = ops.stacked_L(fam.k)
         self.h2 = mask.h ** 2
         self.fam, self.lam = fam, lam
         self.coupling, self.kappa = coupling, kappa
@@ -238,20 +267,25 @@ class Objective:
     def of(cls, sys: SpeciesSystem) -> "Objective":
         return cls(sys.mask, sys.fam, sys.lam, sys.coupling, sys.kappa)
 
+    def apply_L(self, X: np.ndarray) -> np.ndarray:
+        """L applied to every row of the (k, n) stack X in one sparse product."""
+        return (self.Lk @ X.ravel()).reshape(X.shape)
+
+    def _species_energy(self, v: np.ndarray, Lv: np.ndarray, i: int) -> float:
+        return 0.5 * float(v @ Lv) - self.lam * self.h2 * float(
+            np.sum(F_eval(self.fam, i + 1, v)))
+
     def species(self, v: np.ndarray, i: int):
         """J-energy of species i (0-based) at v, with the product L @ v."""
         Lv = self.L @ v
-        e = 0.5 * float(v @ Lv) - self.lam * self.h2 * float(
-            np.sum(F_eval(self.fam, i + 1, v)))
-        return e, Lv
+        return self._species_energy(v, Lv, i), Lv
 
     def value(self, U: np.ndarray):
         """Total energy of U and the product L @ U, which ``grad`` reuses."""
-        LU = np.empty_like(U)
+        LU = self.apply_L(U)
         e = 0.0
         for i in range(U.shape[0]):
-            e_i, LU[i] = self.species(U[i], i)
-            e += e_i
+            e += self._species_energy(U[i], LU[i], i)
         if self.coupled:
             e += self.kappa * self.h2 * float(np.sum(self.coupling.H(U)))
         return e, LU
@@ -265,16 +299,23 @@ class Objective:
             g += self.kappa * self.coupling.dH(U)
         return g
 
-    def hessp(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Hessian at U applied to the stack V, in the units of ``grad``:
-        L v_i / h^2 - lam f_i'(u_i) v_i + kappa (Hess H(U) V)_i."""
-        out = np.empty_like(V)
-        for i in range(U.shape[0]):
-            out[i] = (self.L @ V[i] / self.h2
-                      - self.lam * df_eval(self.fam, i + 1, U[i]) * V[i])
-        if self.coupled:
-            out += self.kappa * self.coupling.d2H(U, V)
-        return out
+    def hessian(self, U: np.ndarray):
+        """The Hessian at U as a map on stacks V, in the units of ``grad``:
+        V -> L v_i / h^2 - lam f_i'(u_i) v_i + kappa (Hess H(U) V)_i.
+
+        The growth curvature lam f_i'(u_i) is evaluated here, once; each
+        application costs one sparse product and, when coupled, one
+        ``Coupling.d2H``.
+        """
+        curv = np.stack([self.lam * df_eval(self.fam, i + 1, U[i])
+                         for i in range(U.shape[0])])
+
+        def apply(V: np.ndarray) -> np.ndarray:
+            out = self.apply_L(V) / self.h2 - curv * V
+            if self.coupled:
+                out += self.kappa * self.coupling.d2H(U, V)
+            return out
+        return apply
 
     def report(self, U: np.ndarray) -> EnergyReport:
         """Per-term breakdown of the energy of U.
@@ -305,7 +346,7 @@ def energy_total(sys: SpeciesSystem) -> EnergyReport:
 def energy_gradient(sys: SpeciesSystem) -> np.ndarray:
     """Stack (k, n) of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
     obj, U = Objective.of(sys), sys.stacked()
-    return obj.grad(U, np.stack([obj.L @ u for u in U]))
+    return obj.grad(U, obj.apply_L(U))
 
 
 def single_species_energy(field: DensityField, i: int, fam: ScaledFamily,

@@ -10,10 +10,13 @@ set, conjugate gradients from zero solve H d = -grad for the Hessian
 H = L/h^2 - lam diag f_i'(u_i) + kappa Hess H(U), preconditioned by
 h^2 times the box solve shifted per species by the slope s_i =
 |f_i'(beta_i)| of the species' law at its cap, to a relative residual
-of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  A direction of
-non-positive curvature ends the inner solve with the iterate so far
-(Steihaug 1983); when it comes at the first step, the direction is the
-Sobolev gradient d_i = -h^2 (L + s_i h^2 I)^-1 grad_i instead.  The
+of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  The Hessian is built
+once per direction (``Objective.hessian``), so each CG step costs one
+box solve, one sparse product for the whole stack and, when coupled,
+one ``Coupling.d2H``.  A direction of non-positive curvature ends the
+inner solve with the iterate so far (Steihaug 1983); when it comes at
+the first step, the direction is the Sobolev gradient
+d_i = -h^2 (L + s_i h^2 I)^-1 grad_i instead.  The
 Newton direction captures the negative curvature -lam f_i'(u_i) that no
 positive shift of the Sobolev metric can, so the stiff end of a
 competition continuation takes a few steps instead of hundreds.
@@ -57,6 +60,8 @@ warm-starting each rate from the previous minimizer.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -103,10 +108,12 @@ class SolverConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        if self.tol_residual is not None and self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if self.coexist_eta is not None and self.coexist_eta <= 0:
-            raise ValueError("coexist_eta must be positive")
+        for name in ("tol_residual", "coexist_eta"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool)
+                                  or not isinstance(v, numbers.Real)
+                                  or not math.isfinite(v) or v <= 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
 
     def with_(self, **kw) -> "SolverConfig":
         return replace(self, **kw)
@@ -169,6 +176,18 @@ def _h1_shifts(fam, lam, h2):
     return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
 
 
+def _total(x: np.ndarray) -> float:
+    """Sum of all entries of a contiguous array: the pairwise sum of
+    ``np.sum`` without its per-call dispatch."""
+    return float(np.add.reduce(x.ravel()))
+
+
+def _clip(x: np.ndarray, cap) -> np.ndarray:
+    """x clipped to the box [0, cap]: the values of ``np.clip`` at less
+    per-call cost (a -0.0 entry comes out as +0.0)."""
+    return np.minimum(np.maximum(x, 0.0), cap)
+
+
 def _newton_direction(obj, box, U, grad, caps, shifts):
     """Truncated Newton direction on the free set, and its CG step count.
 
@@ -177,35 +196,38 @@ def _newton_direction(obj, box, U, grad, caps, shifts):
     H d = -grad for the Hessian H of ``obj`` at U, preconditioned by h^2
     times the box solve with the H^1 shifts, until the residual falls
     below NEWTON_CG_TOL times its start or NEWTON_CG_MAXITER steps are
-    taken.  A direction p with p.(H p) <= 0 ends the solve with the
+    taken.  H is built once per direction (``Objective.hessian``), so a
+    CG step costs one box solve, one Hessian application and a few
+    reductions.  A direction p with p.(H p) <= 0 ends the solve with the
     iterate so far (Steihaug); at the first step there is none, and the
     direction is None.
     """
     free = ~(((U <= 0.0) & (grad > 0)) | ((U >= caps) & (grad < 0)))
+    hess = obj.hessian(U)
 
     def precond(R):
         return np.where(free, obj.h2 * box.solve(R, shifts), 0.0)
 
     D = np.zeros_like(U)
     R = np.where(free, -grad, 0.0)
-    rr = float(np.sum(R * R))
+    rr = _total(R * R)
     stop = NEWTON_CG_TOL ** 2 * rr
     P = rz = None
     it = 0
     while rr > stop and it < NEWTON_CG_MAXITER:
         Z = precond(R)
-        rz_new = float(np.sum(R * Z))
+        rz_new = _total(R * Z)
         P = Z if P is None else Z + (rz_new / rz) * P
         rz = rz_new
         it += 1
-        HP = np.where(free, obj.hessp(U, P), 0.0)
-        curv = float(np.sum(P * HP))
+        HP = np.where(free, hess(P), 0.0)
+        curv = _total(P * HP)
         if curv <= 0.0:
             return (D if it > 1 else None), it
         alpha = rz / curv
         D += alpha * P
         R -= alpha * HP
-        rr = float(np.sum(R * R))
+        rr = _total(R * R)
     return D, it
 
 
@@ -233,8 +255,8 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
     """
     t = 1.0
     while t >= PRECOND_FLOOR:
-        U_new = np.clip(U + t * D, 0.0, cap)
-        model = h2 * float(np.sum(grad * (U_new - U)))
+        U_new = _clip(U + t * D, cap)
+        model = h2 * _total(grad * (U_new - U))
         if (null_ok and t == 1.0
                 and -TOL_ENERGY * max(1.0, abs(E)) < model <= 0):
             return U, E, None, step, "flat"
@@ -244,9 +266,9 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
                 return U_new, E_new, LU, step, "precond"
         t *= ARMIJO_SHRINK
     while step > STEP_UNDERFLOW:
-        U_new = np.clip(U - step * grad, 0.0, cap)
+        U_new = _clip(U - step * grad, cap)
         E_new, LU = value(U_new)
-        move = float(np.sum((U_new - U) ** 2))
+        move = _total((U_new - U) ** 2)
         if E_new <= E - ARMIJO_C * (h2 / step) * move:
             if move > 0:
                 step = min(step * STEP_GROWTH, step_cap)

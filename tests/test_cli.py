@@ -176,6 +176,28 @@ class TestMinimizeCommand:
         rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["kappa", "lambda"])
+    def test_nan_model_parameter_exits_1(self, tmp_path, capsys, key):
+        # A NaN kappa used to run, writing rows with total nan marked best.
+        out = tmp_path / "run"
+        cfg = base_run_config(str(out), h=1 / 8)
+        cfg.update(k=2, eps=0.5, kappa=200.0)
+        cfg[key] = float("nan")
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        assert key.replace("lambda", "lam") in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("key", ["tol_residual", "coexist_eta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_exits_1(self, tmp_path, capsys, key, value):
+        cfg = base_run_config(str(tmp_path / "run"), h=1 / 8)
+        cfg["solver"][key] = value
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid solver config" in err and key in err
+
     def test_seed_override(self, tmp_path):
         out = str(tmp_path / "run")
         cfg = base_run_config(out)

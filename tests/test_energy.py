@@ -267,7 +267,7 @@ class TestObjective:
         t = 1e-6
         grad = lambda W: obj.grad(W, np.stack([obj.L @ w for w in W]))
         fd = (grad(U + t * V) - grad(U - t * V)) / (2 * t)
-        HV = obj.hessp(U, V)
+        HV = obj.hessian(U)(V)
         assert np.max(np.abs(HV - fd)) <= 1e-6 * np.max(np.abs(HV))
 
     def test_hessp_is_symmetric(self):
@@ -276,8 +276,21 @@ class TestObjective:
         U = sys.stacked()
         rng = np.random.default_rng(5)
         V, W = rng.normal(size=U.shape), rng.normal(size=U.shape)
-        assert np.sum(W * obj.hessp(U, V)) == pytest.approx(
-            np.sum(V * obj.hessp(U, W)), rel=1e-12)
+        hess = obj.hessian(U)
+        assert np.sum(W * hess(V)) == pytest.approx(
+            np.sum(V * hess(W)), rel=1e-12)
+
+    @pytest.mark.parametrize("k,kappa", [(1, 0.0), (2, 250.0), (3, 40.0)])
+    def test_hessian_is_repeatable(self, k, kappa):
+        # The operator freezes only what depends on U: applying it again,
+        # to the same V or after another V, gives the same bits.
+        sys = make_system(build_wedge(2.0, 0.05), k, 90.0, kappa,
+                          eps=(0.4, 0.7)[:k - 1])
+        hess = Objective.of(sys).hessian(sys.stacked())
+        V, W = np.random.default_rng(6).normal(size=(2, k, sys.mask.n_interior))
+        first = hess(V)
+        hess(W)
+        assert np.array_equal(hess(V), first)
 
 
 class TestLambda1:
@@ -379,6 +392,21 @@ class TestBoxSolver:
             want = dstn(coef, type=1, norm="ortho")[ii, jj]
             assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("mask", [build_disc(1.0, 1 / 12),
+                                      build_wedge(2.0, 1 / 24)], ids=["disc", "wedge"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_is_row_by_row(self, mask, k):
+        box = _ops(mask).box_solver()
+        B = np.random.default_rng(k).normal(size=(k, mask.n_interior))
+        shifts = [0.0, 0.78, 4.0][:k]
+        stacked = box.solve(B, shifts)
+        assert stacked.shape == B.shape
+        for i in range(k):
+            assert np.array_equal(stacked[i], box.solve(B[i], shifts[i]))
+        one = box.solve(B[0], shifts[0])
+        assert one.shape == (mask.n_interior,)
+        assert np.array_equal(one, box.solve(B[:1], shifts[:1])[0])
+
     def test_cached_per_mask(self):
         mask = build_disc(1.0, 1 / 8)
         first = _ops(mask).box_solver()
@@ -448,6 +476,15 @@ class TestRescaledCopy:
         u = DensityField(mask, rng.uniform(0, 1, mask.n_interior))
         assert np.allclose(bilinear_sample(u, mask.xs, mask.ys), u.values,
                            atol=1e-14)
+
+
+class TestSpeciesSystem:
+    @pytest.mark.parametrize("lam,kappa", [(np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0),
+                                           (90.0, np.nan), (90.0, np.inf),
+                                           (90.0, -1.0)])
+    def test_rejects_bad_parameters(self, lam, kappa):
+        with pytest.raises(ValueError):
+            make_system(build_rectangle(1, 1, 0.25), 2, lam, kappa)
 
 
 class TestFieldBasics:

@@ -249,6 +249,47 @@ class TestNewtonStep:
         assert minimize_partition(starts["seeded"], SolverConfig()).cg_iters == 0
 
 
+class TestPinnedResults:
+    """Iteration counts and energies of the free solver, pinned bit for bit.
+
+    The counts (outer iterations, CG steps, energy evaluations) were taken
+    from the solver before its inner loop froze the Hessian per direction
+    and stacked the sparse products; that rewrite changes no arithmetic,
+    so any change here is a change of the algorithm.
+    """
+
+    @pytest.mark.parametrize("lam,kappa,eps,label,iters,cg,evals,energy", [
+        (100.0, 200.0, 0.4, "single", 6, 10, 6, -32.60096284343871),
+        (100.0, 200.0, 0.4, "seeded", 12, 35, 13, -37.384460080971074),
+        (140.0, 800.0, 0.2, "single", 6, 10, 6, -50.03410743818448),
+        (140.0, 800.0, 0.2, "seeded", 29, 51, 31, -62.288694015667474),
+    ], ids=["lam100-single", "lam100-seeded", "lam140-single", "lam140-seeded"])
+    def test_sweep_disc_points(self, lam, kappa, eps, label, iters, cg, evals,
+                               energy):
+        # Two coordinates of the benchmark's disc sweep (r = 1, h = 1/12).
+        cfg = SolverConfig(restarts=0)
+        fam = scaled_family(logistic(), 2, (eps,))
+        starts = dict(default_initializers(build_disc(1.0, 1 / 12), fam, lam,
+                                           coupling_quartic(2), kappa, cfg))
+        res = minimize_free(starts[label], cfg)
+        assert (res.iters, res.cg_iters, res.evals) == (iters, cg, evals)
+        assert abs(res.energy - energy) <= 1e-12 * abs(energy)
+
+    def test_stiff_wedge_continuation_step(self):
+        # The kappa = 1000 end of criterion 9's continuation (wedge m = 2,
+        # h = 1/32, lam 200, eps2 0.6) from the deterministic starts.
+        cfg = SolverConfig(restarts=0)
+        fam = scaled_family(logistic(), 2, (0.6,))
+        best, _ = minimize_multistart(build_wedge(2.0, 1 / 32), fam, 200.0,
+                                      coupling=coupling_quartic(2), kappa=10.0,
+                                      cfg=cfg)
+        last = kappa_continuation(best.system,
+                                  [10.0, 30.0, 100.0, 300.0, 1000.0], cfg)[-1]
+        assert (last.iters, last.cg_iters, last.evals) == (10, 64, 11)
+        energy = -4.14740410008495
+        assert abs(last.energy - energy) <= 1e-12 * abs(energy)
+
+
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
          "wedge": build_wedge(2.0, 1 / 20)}
 
@@ -505,7 +546,10 @@ class TestConfigValidation:
         for bad in ({"coexist_eta": -1.0}, {"tol_residual": 0.0},
                     {"max_iters": 5e3}, {"max_iters": 0}, {"restarts": 1.0},
                     {"restarts": -3}, {"restarts": True}, {"seed": 1.5},
-                    {"seed": -1}):
+                    {"seed": -1}, {"tol_residual": float("nan")},
+                    {"tol_residual": float("inf")}, {"tol_residual": True},
+                    {"coexist_eta": float("nan")}, {"coexist_eta": float("inf")},
+                    {"coexist_eta": True}, {"tol_residual": "1e-6"}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
