@@ -620,6 +620,9 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.lam_grid and self.kappa_grid and self.eps_grid):
             raise ValueError("sweep grids must be non-empty")
+        if not all(np.isfinite(np.array((lam, kappa, *eps), dtype=float)).all()
+                   for lam, kappa, eps in self.coordinates()):
+            raise ValueError("sweep grid values must be finite")
 
     def coordinates(self):
         for lam, kappa, eps in product(self.lam_grid, self.kappa_grid,

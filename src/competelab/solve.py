@@ -30,11 +30,10 @@ preconditioner for the mask's operator, and the count grows with 1/h.
 
 The trial clip(U + t d), t = 1, 1/2, ..., to [0, beta_i] is accepted on
 an Armijo test against the linear model h^2 * sum(grad * (U_new - U));
-once t passes PRECOND_FLOOR the step falls back to the Euclidean
-clip(U - step * grad) under the plain Armijo test, because box
-projection in a non-diagonal metric need not descend.  Accepted steps
-therefore never increase the energy and every iterate sits in the box
-[0, beta_i] (the species caps double as a priori sup bounds).
+once t passes PRECOND_FLOOR the step underflows and U stays as it is.
+Accepted steps therefore never increase the energy and every iterate
+sits in the box [0, beta_i] (the species caps double as a priori sup
+bounds).
 
 A unit trial is flat when its model lies in (-TOL_ENERGY * max(1, |E|), 0]:
 even the full step predicts a drop below the stall threshold.  A flat
@@ -45,14 +44,15 @@ model, where the projection blocks descent, is never flat.
 
 The free minimizer steps on the total coupled energy.  It stops on a
 flat step once the projected residual is below tolerance (above it
-flat steps take the full line search, which cannot spin), or when the
-energy has stalled for STALL_WINDOW steps with the residual below
-tolerance.  The partition solver alternates one step per species on its
-own single-species energy with a hard segregation projection (largest
-density keeps the node, ties go to the lowest index), so its output has
-pairwise disjoint supports by construction; a flat species keeps its
-density, and the solve stops when every species is flat or the total
-energy has stalled for STALL_WINDOW iterations.
+flat steps take the full line search, which cannot spin), on an
+underflow, or when the energy has stalled for STALL_WINDOW steps with
+the residual below tolerance.  The partition solver alternates one step
+per species on its own single-species energy with a hard segregation
+projection (largest density keeps the node, ties go to the lowest
+index), so its output has pairwise disjoint supports by construction; a
+flat or underflowing species keeps its density, and the solve stops
+when no species moves or the total energy has stalled for STALL_WINDOW
+iterations.
 
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer.
@@ -81,13 +81,8 @@ STALL_WINDOW = 20
 # Armijo sufficient-decrease factor and backtracking factor.
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
-# The persistent Euclidean step: its start in units of h^2 (a power of two,
-# so STEP0 * h^2 is exact), its growth after an accepted move, its floor.
-STEP0 = 1 / 8
-STEP_GROWTH = 1.1
-STEP_UNDERFLOW = 1e-18
-# Smallest trial step along the preconditioned direction; below it the
-# iteration takes the Euclidean step instead.
+# Smallest trial step along the search direction; below it the step
+# underflows.
 PRECOND_FLOOR = 1e-3
 # The free solver's inner conjugate-gradient solve of the Newton system:
 # the relative residual at which it stops, and its iteration cap.
@@ -129,8 +124,9 @@ class MinimizeResult:
     start_label: str
     residual: float
     energies: np.ndarray
-    stop_reason: str | None = None  # residual, stall, max_iters, step_underflow
-    fallback_steps: int = 0         # steps that fell back to the Euclidean one
+    # free: residual, max_iters, step_underflow; partition: stall,
+    # max_iters, step_underflow
+    stop_reason: str | None = None
     evals: int = 0                  # energy evaluations (per species: partition)
     cg_iters: int = 0               # inner CG steps (Hessian products); free only
     seconds: float = 0.0            # wall time of the solve
@@ -231,16 +227,13 @@ def _newton_direction(obj, box, U, grad, caps, shifts):
     return D, it
 
 
-def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
-                    null_ok=False):
+def _projected_step(value, U, E, grad, D, cap, h2, null_ok=False):
     """One box-projected Armijo step from U at energy E.
 
-    Tries the preconditioned direction D from t = 1, accepting
+    Tries the search direction D from t = 1, halving t, and accepts
     clip(U + t D) once the energy falls by ARMIJO_C times the linear
-    model h^2 * sum(grad * (U_new - U)) < 0.  Projection under a
-    non-diagonal metric need not descend, so when t passes PRECOND_FLOOR
-    the Euclidean step clip(U - step * grad) with the caller's persistent
-    step size is taken instead, under the plain Armijo test.
+    model h^2 * sum(grad * (U_new - U)) < 0.  When t passes
+    PRECOND_FLOOR without an accepted trial the step underflows.
 
     With ``null_ok`` a flat unit trial, whose model lies in
     (-TOL_ENERGY * max(1, |E|), 0], is a null step: even the full step
@@ -248,10 +241,9 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
     evaluated and U is returned as it is.  A positive model, where the
     projection blocks descent, is never flat.
 
-    Returns (U_new, E_new, L @ U_new, step, how), where ``how`` is
-    "precond" or "euclid" for the step taken, "flat" for a null step
-    (U_new is U, L @ U_new is None) and "underflow" when the Euclidean
-    step underflowed as well (U_new is None).
+    Returns (U_new, E_new, L @ U_new, how), where ``how`` is "precond"
+    for the step taken, "flat" for a null step (U_new is U, L @ U_new is
+    None) and "underflow" when no trial passed (U_new is None).
     """
     t = 1.0
     while t >= PRECOND_FLOOR:
@@ -259,22 +251,13 @@ def _projected_step(value, U, E, grad, D, cap, step, step_cap, h2,
         model = h2 * _total(grad * (U_new - U))
         if (null_ok and t == 1.0
                 and -TOL_ENERGY * max(1.0, abs(E)) < model <= 0):
-            return U, E, None, step, "flat"
+            return U, E, None, "flat"
         if model < 0:
             E_new, LU = value(U_new)
             if E_new <= E + ARMIJO_C * model:
-                return U_new, E_new, LU, step, "precond"
+                return U_new, E_new, LU, "precond"
         t *= ARMIJO_SHRINK
-    while step > STEP_UNDERFLOW:
-        U_new = _clip(U - step * grad, cap)
-        E_new, LU = value(U_new)
-        move = _total((U_new - U) ** 2)
-        if E_new <= E - ARMIJO_C * (h2 / step) * move:
-            if move > 0:
-                step = min(step * STEP_GROWTH, step_cap)
-            return U_new, E_new, LU, step, "euclid"
-        step *= ARMIJO_SHRINK
-    return None, E, None, step, "underflow"
+    return None, E, None, "underflow"
 
 
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
@@ -287,7 +270,6 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     betas = fam.betas
     caps = betas[:, None]
     tol_res = cfg.tol_residual if cfg.tol_residual is not None else 1e-6 * lam
-    step = STEP0 * h2
     shifts = _h1_shifts(fam, lam, h2)
 
     evals = 0
@@ -302,10 +284,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     if not np.isfinite(E):
         raise ValueError("non-finite energy at the initial iterate")
 
-    step_cap = 1e9 * step
     energies = [E]
     stall = 0
-    fallback_steps = 0
     cg_iters = 0
     converged = False
     stop_reason = "max_iters"
@@ -320,10 +300,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
             D = -h2 * box.solve(grad, shifts)
         # A null step repeats forever, so it ends the solve at once; above
         # the residual tolerance it is not allowed, or it would spin.
-        U_new, E_new, LU_new, step, how = _projected_step(
-            value, U, E, grad, D, caps, step, step_cap, h2,
-            null_ok=resnorm <= tol_res)
-        fallback_steps += how in ("euclid", "underflow")
+        U_new, E_new, LU_new, how = _projected_step(
+            value, U, E, grad, D, caps, h2, null_ok=resnorm <= tol_res)
         if how == "flat":
             converged = True
             stop_reason = "residual"
@@ -349,8 +327,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                           converged=converged, alive=alive_flags(final, cfg),
                           start_label=start_label, residual=resnorm,
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps, evals=evals,
-                          cg_iters=cg_iters, seconds=time.perf_counter() - t0)
+                          evals=evals, cg_iters=cg_iters,
+                          seconds=time.perf_counter() - t0)
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -515,8 +493,9 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     Ignores the competition rate: each species takes one projected step
     along its box-solve Sobolev gradient on its own single-species energy,
     then the segregation projection restores pairwise disjoint supports.
-    Terminates when every species' step is flat or on an energy stall of
-    the segregated total; on curved masks the step count grows with 1/h.
+    Terminates when no species moves (converged only when every step is
+    flat) or on an energy stall of the segregated total; on curved masks
+    the step count grows with 1/h.
     The output is segregated nodewise by construction.
     """
     t0 = time.perf_counter()
@@ -545,31 +524,26 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
         raise ValueError("non-finite energy at the initial iterate")
 
     shifts = _h1_shifts(fam, lam, h2)
-    step0 = STEP0 * h2
-    steps = np.full(k, step0)
-    step_cap = 1e9 * step0
     energies = [E]
     stall = 0
-    fallback_steps = 0
     converged = False
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
         grad = obj.grad(U, LU)
         D = -h2 * box.solve(grad, shifts)
-        flat = 0
+        moved = flat = 0
         for i in range(k):
             value = lambda v, i=i: species_value(v, i)
-            v_new, _, _, steps[i], how = _projected_step(
-                value, U[i], Es[i], grad[i], D[i], betas[i], steps[i],
-                step_cap, h2, null_ok=True)
-            fallback_steps += how in ("euclid", "underflow")
+            v_new, _, _, how = _projected_step(
+                value, U[i], Es[i], grad[i], D[i], betas[i], h2, null_ok=True)
             flat += how == "flat"
-            if v_new is not None:
+            if how == "precond":
                 U[i] = v_new
-        if flat == k:   # U is unchanged, so every later iteration repeats
-            converged = True
-            stop_reason = "stall"
+                moved += 1
+        if not moved:   # U is unchanged, so every later iteration repeats
+            converged = flat == k
+            stop_reason = "stall" if converged else "step_underflow"
             break
 
         U = segregation_projection(U)
@@ -591,8 +565,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                           start_label=start_label,
                           residual=_projected_residual(U, grad, betas),
                           energies=np.array(energies), stop_reason=stop_reason,
-                          fallback_steps=fallback_steps, evals=evals,
-                          seconds=time.perf_counter() - t0)
+                          evals=evals, seconds=time.perf_counter() - t0)
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

@@ -395,6 +395,23 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2  # the valid lambda's two kappa points completed
 
+    @pytest.mark.parametrize("key,grid", [("kappas", [float("nan"), 50.0]),
+                                          ("epss", [float("inf")])],
+                             ids=["nan-kappa", "inf-eps"])
+    def test_non_finite_grid_exits_1_without_output(self, tmp_path, capsys,
+                                                    key, grid):
+        # A non-finite grid value is a config error caught before any point
+        # runs, as for minimize, not a partial sweep (exit 2).
+        out = str(tmp_path / "sw")
+        cfg = self.sweep_config(out)
+        cfg.update(domain={"kind": "disc", "radius": 1.0, "h": 1 / 8}, k=2,
+                   lambdas=[60.0], kappas=[0.0], epss=[0.5])
+        cfg[key] = grid
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert "sweep grid values must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         out_a = str(tmp_path / "ser")
         out_b = str(tmp_path / "par")

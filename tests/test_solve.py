@@ -8,8 +8,8 @@ from competelab.energy import (DensityField, Objective, SpeciesSystem, _ops,
 from competelab.geometry import build_disc, build_rectangle, build_wedge
 from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
-from competelab.solve import (STEP0, SolverConfig, _h1_shifts,
-                              _newton_direction, _projected_step, alive_flags,
+from competelab.solve import (SolverConfig, _h1_shifts, _newton_direction,
+                              _projected_step, alive_flags,
                               default_initializers, kappa_continuation,
                               merged_system, minimize_free,
                               minimize_multistart, minimize_partition,
@@ -82,7 +82,6 @@ class TestMinimizeFree:
         assert res.converged
         assert res.residual <= 1e-6 * 100.0
         assert res.stop_reason == "residual"
-        assert 0 <= res.fallback_steps < res.iters
 
     def test_max_iters_reported(self):
         mask = build_rectangle(1, 1, 1 / 16)
@@ -93,19 +92,25 @@ class TestMinimizeFree:
 
     def test_step_underflow_reported(self):
         # G is the negated antiderivative of g, so the gradient the solver
-        # is handed points uphill: no preconditioned or Euclidean step
-        # passes Armijo and the solve must say so instead of stalling.
-        good = logistic()
-        bad = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
-                           G=lambda s: -good.G(s))
-        mask = build_rectangle(1, 1, 1 / 4)
-        start = SpeciesSystem([DensityField(mask, np.full(mask.n_interior, 0.5))],
-                              ScaledFamily(base=bad, k=1, eps=()), None, 1e4)
-        res = minimize_free(start, SolverConfig(max_iters=50))
+        # is handed points uphill: no trial step passes Armijo and the
+        # solve must say so instead of stalling.
+        res, start = uphill_solve(minimize_free)
         assert res.stop_reason == "step_underflow"
-        assert res.iters == 1 and res.fallback_steps == 1
+        assert res.iters == 1
+        assert res.evals <= 11   # the start and at most ten trials
         assert not res.converged
         assert np.array_equal(res.system.fields[0].values, start.fields[0].values)
+
+
+def uphill_solve(solver):
+    """A k = 1 solve whose energy is the negated one of its gradient."""
+    good = logistic()
+    bad = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
+                       G=lambda s: -good.G(s))
+    mask = build_rectangle(1, 1, 1 / 4)
+    start = SpeciesSystem([DensityField(mask, np.full(mask.n_interior, 0.5))],
+                          ScaledFamily(base=bad, k=1, eps=()), None, 1e4)
+    return solver(start, SolverConfig(max_iters=50)), start
 
 
 def single_start_solve(build, h, lam, max_iters):
@@ -134,7 +139,7 @@ class TestPreconditionedDescent:
 
     @pytest.mark.parametrize("kappa,seed_energy", [(400.0, -95.55591211732187),
                                                    (4000.0, -75.65372161575897)])
-    def test_best_of_starts_matches_euclidean_descent(self, kappa, seed_energy):
+    def test_best_of_starts_matches_gradient_descent(self, kappa, seed_energy):
         # seed_energy: the best over the same starts found by Euclidean
         # projected descent.  A single start may end in another local
         # minimum (at kappa = 4000 the seeded start loses species 2); the
@@ -159,6 +164,15 @@ class TestPreconditionedDescent:
         capped = minimize_partition(starts["seeded"], SolverConfig(max_iters=2))
         assert capped.stop_reason == "max_iters" and not capped.converged
 
+    def test_partition_reports_step_underflow(self):
+        # No species can move (its only trial steps go uphill), so every
+        # later iteration repeats the first: the solve stops at once and
+        # is not converged, as the free solver's is.
+        res, start = uphill_solve(minimize_partition)
+        assert res.stop_reason == "step_underflow" and not res.converged
+        assert res.iters == 1 and res.evals <= 11
+        assert np.array_equal(res.system.fields[0].values, start.fields[0].values)
+
     @pytest.mark.parametrize("solver,start", [(minimize_free, "seeded"),
                                               (minimize_partition, "single")])
     def test_converged_result_is_a_fixed_point(self, solver, start):
@@ -180,11 +194,10 @@ class TestPreconditionedDescent:
     def test_no_round_off_tail(self):
         # The last steps of a converged solve sit at energy round-off,
         # where Armijo fails on noise; unless a flat unit step ends the
-        # solve, each of them backtracks into the Euclidean fallback.
+        # solve, each of them backtracks down to the step floor.
         res = single_start_solve(lambda h: build_rectangle(1, 1, h), 1 / 64,
                                  200.0, max_iters=60)
         assert res.converged and res.stop_reason == "residual"
-        assert res.fallback_steps == 0
         assert res.evals <= res.iters + 1
 
     def test_flat_steps_need_the_residual_below_tolerance(self):
@@ -233,8 +246,7 @@ class TestNewtonStep:
         shifts = _h1_shifts(fam, lam, h2)
         assert _newton_direction(obj, box, U, grad, caps, shifts) == (None, 1)
         D = -h2 * box.solve(grad, shifts)
-        U_h1, E_h1, _, _, how = _projected_step(
-            obj.value, U, E, grad, D, caps, STEP0 * h2, 1e9 * STEP0 * h2, h2)
+        U_h1, E_h1, _, how = _projected_step(obj.value, U, E, grad, D, caps, h2)
         assert how == "precond"
         res = minimize_free(sys0, SolverConfig(max_iters=1))
         assert np.array_equal(res.system.stacked(), U_h1)
