@@ -14,19 +14,20 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, product
 
 import numpy as np
 
-from .energy import (DensityField, energy_total, single_species_energy,
-                     lambda1)
+from .energy import (DensityField, SpeciesSystem, energy_total,
+                     single_species_energy, lambda1)
 from .geometry import (DomainMask, SPACE_DIM, build_disc, build_rectangle,
                        build_wedge)
 from .model import ScaledFamily, coupling_quartic, cutoff_phi, identical_family, logistic
-from .solve import (MinimizeResult, SolverConfig, kappa_continuation,
-                    merged_system, minimize_multistart, segregation_projection)
+from .solve import (MinimizeResult, SolverConfig, default_initializers,
+                    kappa_continuation, merged_system, minimize_free,
+                    minimize_multistart, segregation_projection)
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
@@ -623,36 +624,81 @@ class SweepSpec:
         if not all(np.isfinite(np.array((lam, kappa, *eps), dtype=float)).all()
                    for lam, kappa, eps in self.coordinates()):
             raise ValueError("sweep grid values must be finite")
+        for eps in self.eps_grid:   # a config error, not a failed point
+            ScaledFamily(base=_LOGISTIC, k=self.k, eps=self._eps(eps))
+
+    def _eps(self, eps) -> tuple:
+        """An ``eps_grid`` entry as per-species scales: a list or tuple as
+        given, a number for every species beyond the first."""
+        return tuple(eps) if isinstance(eps, (list, tuple)) \
+            else (float(eps),) * (self.k - 1)
 
     def coordinates(self):
         for lam, kappa, eps in product(self.lam_grid, self.kappa_grid,
                                        self.eps_grid):
-            eps_t = tuple(eps) if isinstance(eps, (list, tuple)) \
-                else (float(eps),) * (self.k - 1)
-            yield float(lam), float(kappa), eps_t
+            yield float(lam), float(kappa), self._eps(eps)
 
 
-def run_sweep_point(domain_spec: dict, k: int, lam: float, kappa: float,
-                    eps: tuple, cfg: SolverConfig) -> RunRecord:
-    """One sweep coordinate: multistart free minimization, recorded."""
+def run_sweep_group(domain_spec: dict, k: int, lam: float, eps: tuple,
+                    kappas, cfg: SolverConfig) -> list:
+    """One (lam, eps) group of a sweep grid: for each kappa, in order, the
+    record of its multistart free minimization, or the exception that
+    failed it.
+
+    The mask and the default starts are built once.  A start with at most
+    one nonzero species is solved once, uncoupled (kappa = 0): the coupling
+    vanishes on it and the absent species stay at 0 along the solve, so
+    its minimizer does not depend on kappa, and each kappa re-reports it
+    under its own system (the interaction is exactly 0).  The other starts
+    are solved at each kappa.  Results keep the start order, so the best
+    start breaks ties as ``minimize_multistart`` does.  A point's wall time
+    covers its own solves and the shared work it ran: the initializers go
+    to the first point, each lone solve to the first point that used it.
+    """
     mask = build_domain(domain_spec)
     fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
+    coupling = coupling_quartic(k) if k > 1 else None
     t0 = time.perf_counter()
-    best, _ = minimize_multistart(mask, fam, lam, kappa=kappa, cfg=cfg,
-                                  coupling=coupling_quartic(k) if k > 1 else None)
-    full = best.alive_count == k
-    return record_from_result("sweep", mask, best, cfg.seed,
-                              time.perf_counter() - t0, eps=eps,
-                              verdict="coexist" if full else "extinct")
+    starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
+    lone = {i: None for i, (_, sys0) in enumerate(starts)
+            if np.count_nonzero(sys0.stacked().any(axis=1)) <= 1}
+    out = []
+    for kappa in kappas:
+        try:
+            results = []
+            for i, (label, sys0) in enumerate(starts):
+                sys = SpeciesSystem(sys0.fields, fam, coupling, lam, kappa)
+                if i not in lone:
+                    results.append(minimize_free(sys, cfg, label))
+                    continue
+                if lone[i] is None:
+                    lone[i] = minimize_free(sys0, cfg, label)
+                final = sys.replace_values(lone[i].system.stacked())
+                results.append(replace(lone[i], system=final,
+                                       report=energy_total(final)))
+            best = min(results, key=lambda r: r.energy)
+            out.append(record_from_result(
+                "sweep", mask, best, cfg.seed, time.perf_counter() - t0,
+                eps=eps, verdict="coexist" if best.alive_count == k else "extinct"))
+        except Exception as exc:
+            out.append(exc)
+        t0 = time.perf_counter()
+    return out
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     """Execute a sweep grid with resume support and bounded parallelism.
 
+    The unit of work is one (lam, eps) group of the grid, which computes
+    its kappas with ``run_sweep_group``; the pool runs one task per group.
     A coordinate is skipped when the output manifest holds its key and
-    the results CSV its row; one without a row is computed again.  The
-    results CSV is atomically rewritten after every completed record, so
-    an interrupted sweep never leaves a partial row.
+    the results CSV its row; one without a row is computed again, and a
+    group computes only its coordinates still to do.  The lone-species
+    solves a group shares are uncoupled whichever kappas it computes, so
+    a resumed sweep reproduces a fresh one bit for bit.  A failing kappa
+    fails alone.  The results CSV is atomically rewritten after every
+    group that completed a record, so an interrupted sweep never leaves a
+    partial row.
     """
     os.makedirs(spec.outdir, exist_ok=True)
     results_path = os.path.join(spec.outdir, "results.csv")
@@ -662,36 +708,46 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
         & records.keys()
 
     label = domain_label(build_domain(spec.domain))
-    todo = [(lam, kappa, eps) for lam, kappa, eps in spec.coordinates()
-            if _key(("sweep", label, spec.domain["h"], spec.k, lam, kappa, eps,
-                     spec.solver.seed)) not in done_keys]
+    todo = {}   # (lam, eps) -> the group's kappas still to compute
+    for lam, kappa, eps in spec.coordinates():
+        if _key(("sweep", label, spec.domain["h"], spec.k, lam, kappa, eps,
+                 spec.solver.seed)) not in done_keys:
+            todo.setdefault((lam, eps), []).append(kappa)
+    groups = [(spec.domain, spec.k, lam, eps, kappas, spec.solver)
+              for (lam, eps), kappas in todo.items()]
 
     def outcomes():
-        """(coordinate, call returning its record), in grid order."""
-        args = [(spec.domain, spec.k, *point, spec.solver) for point in todo]
-        if jobs <= 1 or len(todo) <= 1:
-            for point, a in zip(todo, args):
-                yield point, partial(run_sweep_point, *a)
+        """(group, call returning its outcomes), in grid order."""
+        if jobs <= 1 or len(groups) <= 1:
+            for g in groups:
+                yield g, partial(run_sweep_group, *g)
             return
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(run_sweep_point, *a) for a in args]
-            for point, fut in zip(todo, futs):
-                yield point, fut.result
+            futs = [pool.submit(run_sweep_group, *g) for g in groups]
+            for g, fut in zip(groups, futs):
+                yield g, fut.result
 
     failures = 0
-    for (lam, kappa, eps), result in outcomes():
-        where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
+    for (_, _, lam, eps, kappas, _), result in outcomes():
         try:
-            rec = result()
+            group = result()
+        except Exception as exc:   # the group failed before any point ran
+            group = [exc] * len(kappas)
+        new = [rec for rec in group if isinstance(rec, RunRecord)]
+        for rec in new:
             records[rec.coordinate_key()] = rec
+        if new:
             write_run(spec.outdir, [records[key] for key in sorted(records)],
-                      new=[rec])
-            log(f"{where} -> {rec.verdict}")
-        except Exception as exc:
-            failures += 1
-            log(f"{where} failed: {exc}")
+                      new=new)
+        for kappa, rec in zip(kappas, group):
+            where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
+            if isinstance(rec, RunRecord):
+                log(f"{where} -> {rec.verdict}")
+            else:
+                failures += 1
+                log(f"{where} failed: {rec}")
 
-    return {"completed": len(todo) - failures, "skipped": len(done_keys),
-            "failed": failures, "total": len(records),
+    return {"completed": sum(map(len, todo.values())) - failures,
+            "skipped": len(done_keys), "failed": failures, "total": len(records),
             "results_csv": results_path}

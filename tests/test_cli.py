@@ -412,6 +412,66 @@ class TestSweepCommand:
         assert "sweep grid values must be finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def disc_config(self, out, **grids):
+        cfg = self.sweep_config(out)
+        cfg.update(domain={"kind": "disc", "radius": 1.0, "h": 1 / 8}, k=2,
+                   lambdas=[60.0], kappas=[0.0], epss=[0.5],
+                   solver={"restarts": 0})
+        cfg.update(grids)
+        return cfg
+
+    @pytest.mark.parametrize("epss,message", [
+        ([[0.3, 0.4]], "need one scale per species beyond the first"),
+        ([1.5], "scales must lie in (0, 1)")], ids=["wrong-length", "outside"])
+    def test_bad_eps_exits_1_without_output(self, tmp_path, capsys, epss,
+                                            message):
+        # A scale the species family rejects is a config error caught before
+        # any point runs, not a partial sweep (exit 2).
+        out = str(tmp_path / "sw")
+        cfg = self.disc_config(out, epss=epss)
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_failing_kappa_fails_alone(self, tmp_path, capsys):
+        # kappa -1 fails inside its (lam, eps) group; the group's kappa 0
+        # point is still written.
+        out = str(tmp_path / "sw")
+        cfg = self.disc_config(out, kappas=[0.0, -1.0], epss=[0.4])
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 2
+        assert "1 points missing" in capsys.readouterr().err
+        with open(out + "/results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["kappa"] for row in rows] == ["0"]
+
+    def test_resume_recomputes_a_missing_row_of_a_group(self, tmp_path):
+        # At eps 0.8 the best states for kappa 200 and 800 are the lone
+        # `single` start, whose solve the group shares; recomputing the
+        # kappa 800 row alone reproduces it.
+        out = str(tmp_path / "sw")
+        cfg = self.disc_config(out, lambdas=[100.0], kappas=[0.0, 200.0, 800.0],
+                               epss=[0.8])
+        path = write_config(tmp_path, "s.json", cfg)
+        assert main(["sweep", "--config", path, "--quiet"]) == 0
+        with open(out + "/results.csv") as fh:
+            full = fh.readlines()
+        with open(out + "/manifest.txt") as fh:
+            manifest = fh.read()
+        rows = list(csv.DictReader(full))
+        assert [(r["kappa"], r["start"]) for r in rows][1:] == \
+            [("200", "single"), ("800", "single")]
+        with open(out + "/results.csv", "w") as fh:
+            fh.writelines(full[:3])   # drop the kappa 800 record
+        assert main(["sweep", "--config", path, "--quiet"]) == 0
+        with open(out + "/results.csv") as fh:
+            again = fh.readlines()
+        strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
+        assert strip(again) == strip(full)
+        with open(out + "/manifest.txt") as fh:
+            assert fh.read() == manifest
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         out_a = str(tmp_path / "ser")
         out_b = str(tmp_path / "par")

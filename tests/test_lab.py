@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from competelab.energy import DensityField, SpeciesSystem, energy_total
 from competelab.geometry import build_disc, build_rectangle, build_wedge
-from competelab.model import ScaledFamily, logistic, scaled_family
-from competelab.solve import MinimizeResult, SolverConfig, alive_flags
+from competelab.model import (ScaledFamily, coupling_quartic, logistic,
+                              scaled_family)
+from competelab.solve import (MinimizeResult, SolverConfig, alive_flags,
+                              minimize_multistart)
 from competelab import lab
 
 FAST = SolverConfig(restarts=1, max_iters=6000)
@@ -332,6 +334,45 @@ class TestSweep:
         out2 = lab.run_sweep(spec, log=lambda *_: None)
         assert out2["completed"] == 0
         assert out2["skipped"] == 2
+
+    def test_groups_match_multistart_per_point(self, tmp_path, monkeypatch):
+        # A (lam, eps) group solves each lone-species start once, uncoupled,
+        # and re-reports it at every kappa; each record still matches a
+        # multistart at its own point.
+        spec = lab.SweepSpec(
+            domain={"kind": "disc", "radius": 1.0, "h": 1 / 12}, k=2,
+            lam_grid=[60.0, 140.0], kappa_grid=[0.0, 200.0], eps_grid=[0.4],
+            solver=SolverConfig(restarts=0), outdir=str(tmp_path / "sweep"))
+        solves = []
+        solve = lab.minimize_free
+
+        def counted(sys0, cfg, label):
+            solves.append(label)
+            return solve(sys0, cfg, label)
+        monkeypatch.setattr(lab, "minimize_free", counted)
+        out = lab.run_sweep(spec, log=lambda *_: None)
+        assert out["completed"] == 4
+        # per group: single and single-2 once, seeded and uniform per kappa
+        assert sorted(solves) == sorted(2 * ["single", "single-2"]
+                                        + 4 * ["seeded", "uniform"])
+        mask = lab.build_domain(spec.domain)
+        fam = scaled_family(logistic(), 2, (0.4,))
+        records = lab.read_records_csv(out["results_csv"])
+        assert len(records) == 4
+        for rec in records:
+            best, _ = minimize_multistart(mask, fam, rec.lam,
+                                          coupling=coupling_quartic(2),
+                                          kappa=rec.kappa, cfg=spec.solver)
+            want = lab.record_from_result(
+                "sweep", mask, best, spec.solver.seed, 0.0, eps=(0.4,),
+                verdict="coexist" if best.alive_count == 2 else "extinct")
+            for name in ("start", "verdict", "alive", "iters", "converged"):
+                assert getattr(rec, name) == getattr(want, name)
+            assert abs(rec.total - want.total) <= 1e-13 * abs(want.total)
+            if rec.kappa == 0.0:
+                for name in ("dirichlet", "potential", "interaction", "total",
+                             "overlap"):
+                    assert getattr(rec, name) == getattr(want, name)
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):

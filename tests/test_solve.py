@@ -302,6 +302,35 @@ class TestPinnedResults:
         assert abs(last.energy - energy) <= 1e-12 * abs(energy)
 
 
+class TestLoneStarts:
+    """A start with one nonzero species never meets the coupling: the absent
+    species stay exactly 0, so its solve is the uncoupled one at every
+    kappa.  Sweeps rely on this to solve such starts once per (lam, eps)."""
+
+    @pytest.mark.parametrize("k,eps,lam", [(2, (0.4,), 100.0),
+                                           (3, (0.4, 0.6), 140.0)],
+                             ids=["k2", "k3"])
+    def test_lone_start_solve_does_not_depend_on_kappa(self, k, eps, lam):
+        cfg = SolverConfig(restarts=0)
+        fam = scaled_family(logistic(), k, eps)
+        coupling = coupling_quartic(k)
+        starts = default_initializers(build_disc(1.0, 1 / 12), fam, lam,
+                                      coupling, 0.0, cfg)
+        lone = [(label, sys0) for label, sys0 in starts
+                if np.count_nonzero(sys0.stacked().any(axis=1)) == 1]
+        assert [label for label, _ in lone] == \
+            ["single"] + [f"single-{i}" for i in range(2, k + 1)]
+        for label, sys0 in lone:
+            absent = ~sys0.stacked().any(axis=1)
+            ref = minimize_free(sys0, cfg, label)
+            for kappa in (50.0, 800.0):
+                res = minimize_free(SpeciesSystem(sys0.fields, fam, coupling,
+                                                  lam, kappa), cfg, label)
+                assert np.all(res.system.stacked()[absent] == 0.0)
+                assert res.iters == ref.iters
+                assert abs(res.energy - ref.energy) <= 1e-13 * abs(ref.energy)
+
+
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
          "wedge": build_wedge(2.0, 1 / 20)}
 
