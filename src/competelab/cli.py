@@ -281,7 +281,6 @@ def cmd_sweep(args) -> int:
         outdir=args.out or cfg.get("out", "runs"),
     )
     log = (lambda *a: None) if args.quiet else print
-    expected = len(list(spec.coordinates()))
     # A domain the lab rejects is a config error (exit 1, no output
     # directory), not a partial sweep.
     lab.build_domain(spec.domain)
@@ -290,11 +289,11 @@ def cmd_sweep(args) -> int:
     except Exception as exc:  # a failed point leaves the sweep partial
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    missing = expected - summary["total"]
     log(f"sweep complete: {summary['completed']} computed, "
         f"{summary['skipped']} skipped, {summary['total']} records")
-    if missing > 0:
-        print(f"sweep incomplete: {missing} points missing", file=sys.stderr)
+    if summary["failed"]:
+        print(f"sweep incomplete: {summary['failed']} points missing",
+              file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK
 

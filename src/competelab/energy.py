@@ -207,10 +207,6 @@ class SpeciesSystem:
     def stacked(self) -> np.ndarray:
         return np.stack([f.values for f in self.fields], axis=0)
 
-    def copy(self) -> "SpeciesSystem":
-        return SpeciesSystem([f.copy() for f in self.fields], self.fam,
-                             self.coupling, self.lam, self.kappa)
-
     def replace_values(self, stacked: np.ndarray) -> "SpeciesSystem":
         fields = [DensityField(self.mask, stacked[i]) for i in range(self.k)]
         return SpeciesSystem(fields, self.fam, self.coupling, self.lam, self.kappa)

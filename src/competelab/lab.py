@@ -3,7 +3,7 @@
 Each experiment drives the solver over a controlled configuration and
 reduces the outcome to a PASS / FAIL / INCONCLUSIVE verdict plus a list
 of RunRecords; experiments write no files.  ``write_run`` writes a run
-directory (records CSV, manifest and JSON files), and ``write_verdict``
+directory (records CSV and JSON files), and ``write_verdict``
 persists a verdict through it.  RunRecord's fields are the CSV columns,
 with floats printed at 17 significant digits, so re-running a record's
 inputs reproduces its energy columns bit for bit.
@@ -111,10 +111,6 @@ class LabVerdict:
     details: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 # Domain kind -> (builder(h, *params), parameter defaults in builder order,
 # label).  Each builder calls the geometry function through this module's
@@ -181,45 +177,16 @@ def read_records_csv(path) -> list:
                 for line in fh if line.rstrip("\n")]
 
 
-def append_manifest(record: RunRecord, path) -> None:
-    with open(str(path), "a") as fh:
-        fh.write(record.coordinate_key() + f"|seed={record.seed}\n")
-
-
-def append_new_manifest_keys(records, path) -> None:
-    """Append the records whose coordinate key the manifest does not hold yet."""
-    done = read_manifest_keys(path)
-    for rec in records:
-        if rec.coordinate_key() not in done:
-            append_manifest(rec, path)
-            done.add(rec.coordinate_key())
-
-
-def read_manifest_keys(path) -> set:
-    keys = set()
-    if os.path.exists(str(path)):
-        with open(str(path)) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    keys.add(line.rsplit("|seed=", 1)[0])
-    return keys
-
-
-def write_run(out, records=(), csv_name="results.csv", texts=None,
-              new=None) -> None:
+def write_run(out, records=(), csv_name="results.csv", texts=None) -> None:
     """Write the run directory ``out``: each ``texts`` entry (file name ->
     text) and, with records, ``csv_name`` holding them, each replaced
-    atomically; then append to ``manifest.txt`` the keys of ``new`` (default:
-    the records) that it does not hold yet."""
+    atomically."""
     out = str(out)
     os.makedirs(out, exist_ok=True)
     for name, text in (texts or {}).items():
         _write_atomic(os.path.join(out, name), [text])
     if records:
         write_records_csv(records, os.path.join(out, csv_name))
-        append_new_manifest_keys(records if new is None else new,
-                                 os.path.join(out, "manifest.txt"))
 
 
 def write_verdict(verdict: LabVerdict, out) -> None:
@@ -624,6 +591,9 @@ class SweepSpec:
         if not all(np.isfinite(np.array((lam, kappa, *eps), dtype=float)).all()
                    for lam, kappa, eps in self.coordinates()):
             raise ValueError("sweep grid values must be finite")
+        if any(lam <= 0 or kappa < 0 for lam, kappa, _ in self.coordinates()):
+            raise ValueError("sweep lambdas must be positive and kappas "
+                             "nonnegative")
         for eps in self.eps_grid:   # a config error, not a failed point
             ScaledFamily(base=_LOGISTIC, k=self.k, eps=self._eps(eps))
 
@@ -691,9 +661,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
 
     The unit of work is one (lam, eps) group of the grid, which computes
     its kappas with ``run_sweep_group``; the pool runs one task per group.
-    A coordinate is skipped when the output manifest holds its key and
-    the results CSV its row; one without a row is computed again, and a
-    group computes only its coordinates still to do.  The lone-species
+    A coordinate is done exactly when the results CSV holds its row, and
+    a group computes only its coordinates still to do.  The lone-species
     solves a group shares are uncoupled whichever kappas it computes, so
     a resumed sweep reproduces a fresh one bit for bit.  A failing kappa
     fails alone.  The results CSV is atomically rewritten after every
@@ -704,14 +673,15 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     results_path = os.path.join(spec.outdir, "results.csv")
     existing = read_records_csv(results_path) if os.path.exists(results_path) else []
     records = {rec.coordinate_key(): rec for rec in existing}
-    done_keys = read_manifest_keys(os.path.join(spec.outdir, "manifest.txt")) \
-        & records.keys()
 
     label = domain_label(build_domain(spec.domain))
     todo = {}   # (lam, eps) -> the group's kappas still to compute
+    skipped = 0
     for lam, kappa, eps in spec.coordinates():
         if _key(("sweep", label, spec.domain["h"], spec.k, lam, kappa, eps,
-                 spec.solver.seed)) not in done_keys:
+                 spec.solver.seed)) in records:
+            skipped += 1
+        else:
             todo.setdefault((lam, eps), []).append(kappa)
     groups = [(spec.domain, spec.k, lam, eps, kappas, spec.solver)
               for (lam, eps), kappas in todo.items()]
@@ -738,8 +708,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
         for rec in new:
             records[rec.coordinate_key()] = rec
         if new:
-            write_run(spec.outdir, [records[key] for key in sorted(records)],
-                      new=new)
+            write_run(spec.outdir, [records[key] for key in sorted(records)])
         for kappa, rec in zip(kappas, group):
             where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
             if isinstance(rec, RunRecord):
@@ -749,5 +718,5 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
                 log(f"{where} failed: {rec}")
 
     return {"completed": sum(map(len, todo.values())) - failures,
-            "skipped": len(done_keys), "failed": failures, "total": len(records),
+            "skipped": skipped, "failed": failures, "total": len(records),
             "results_csv": results_path}

@@ -455,8 +455,8 @@ def _seeded_copies(mask: DomainMask, fam: ScaledFamily, lam: float,
 
 def minimize_multistart(mask: DomainMask, fam: ScaledFamily, lam: float,
                         coupling: Coupling | None = None, kappa: float = 0.0,
-                        cfg: SolverConfig | None = None, starts=None,
-                        partition: bool = False, warn=None):
+                        cfg: SolverConfig | None = None, partition: bool = False,
+                        warn=None):
     """Run every initializer; return (best result, all results).
 
     The best result attains the minimum final energy over all starts.
@@ -464,10 +464,9 @@ def minimize_multistart(mask: DomainMask, fam: ScaledFamily, lam: float,
     cfg = cfg or SolverConfig()
     if lam <= 0:
         raise ValueError("growth scale lam must be positive")
-    if starts is None:
-        starts = default_initializers(mask, fam, lam, coupling, kappa, cfg, warn)
     results = []
-    for label, sys0 in starts:
+    for label, sys0 in default_initializers(mask, fam, lam, coupling, kappa,
+                                            cfg, warn):
         if partition:
             results.append(minimize_partition(sys0, cfg, start_label=label))
         else:

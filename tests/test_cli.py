@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from competelab import lab
 from competelab.cli import (ConfigError, main, normalize_run_config,
                             parse_domain, parse_solver)
 
@@ -151,15 +152,7 @@ class TestMinimizeCommand:
         # normalized config written and round-trips
         saved = json.load(open(out + "/config.json"))
         assert normalize_run_config(saved) == saved
-
-    def test_rerun_adds_no_manifest_lines(self, tmp_path):
-        # every start of a run shares one coordinate key
-        out = str(tmp_path / "run")
-        path = write_config(tmp_path, "c.json", base_run_config(out))
-        for _ in range(2):
-            assert main(["minimize", "--config", path, "--quiet"]) == 0
-        with open(out + "/manifest.txt") as fh:
-            assert len(fh.read().splitlines()) == 1
+        assert not (tmp_path / "run" / "manifest.txt").exists()
 
     def test_records_carry_wall_times(self, tmp_path):
         out = str(tmp_path / "run")
@@ -348,14 +341,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path]) == 0
         assert "0 computed, 4 skipped" in capsys.readouterr().out
 
+    def test_rows_alone_mark_coordinates_done(self, tmp_path, capsys):
+        # results.csv is the only completion record: its rows are skipped
+        # with no other file beside them, and an older run's leftover
+        # manifest.txt is ignored.
+        out = tmp_path / "sw"
+        path = write_config(tmp_path, "s.json", self.sweep_config(str(out)))
+        assert main(["sweep", "--config", path, "--quiet"]) == 0
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+        assert main(["sweep", "--config", path]) == 0
+        assert "0 computed, 4 skipped" in capsys.readouterr().out
+        (out / "manifest.txt").write_text("")
+        assert main(["sweep", "--config", path]) == 0
+        assert "0 computed, 4 skipped" in capsys.readouterr().out
+
     def test_resume_recomputes_a_missing_row(self, tmp_path):
         out = str(tmp_path / "sw")
         path = write_config(tmp_path, "s.json", self.sweep_config(out))
         assert main(["sweep", "--config", path, "--quiet"]) == 0
         with open(out + "/results.csv") as fh:
             full = fh.readlines()
-        with open(out + "/manifest.txt") as fh:
-            manifest = fh.read()
         with open(out + "/results.csv", "w") as fh:
             fh.writelines(full[:2] + full[3:])   # drop one record
         assert main(["sweep", "--config", path, "--quiet"]) == 0
@@ -363,8 +368,6 @@ class TestSweepCommand:
             rows = fh.readlines()
         strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
         assert strip(rows) == strip(full)
-        with open(out + "/manifest.txt") as fh:
-            assert fh.read() == manifest
 
     def test_determinism_energy_columns(self, tmp_path):
         out_a = str(tmp_path / "a")
@@ -383,10 +386,21 @@ class TestSweepCommand:
         assert energy_cols(out_a + "/results.csv") == energy_cols(
             out_b + "/results.csv")
 
-    def test_partial_completion_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def fail_solves(monkeypatch, **at):
+        """Make every free solve whose system has the ``at`` values raise."""
+        solve = lab.minimize_free
+
+        def failing(sys, *args, **kwargs):
+            if all(getattr(sys, name) == value for name, value in at.items()):
+                raise RuntimeError(f"solve failed at {at}")
+            return solve(sys, *args, **kwargs)
+        monkeypatch.setattr(lab, "minimize_free", failing)
+
+    def test_partial_completion_exits_2(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "sw")
         cfg = self.sweep_config(out)
-        cfg["lambdas"] = [40.0, -1.0]  # second point is invalid
+        self.fail_solves(monkeypatch, lam=80.0)  # the second lambda fails
         rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -412,6 +426,41 @@ class TestSweepCommand:
         assert "sweep grid values must be finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key,grid", [("lambdas", [40.0, -1.0]),
+                                          ("lambdas", [0.0]),
+                                          ("kappas", [0.0, -1.0])],
+                             ids=["negative-lam", "zero-lam", "negative-kappa"])
+    def test_bad_rate_exits_1_without_output(self, tmp_path, capsys, recwarn,
+                                             key, grid):
+        # A rate no system accepts is a config error caught before any
+        # point runs, not a failed point of a partial sweep (exit 2).
+        out = str(tmp_path / "sw")
+        cfg = self.sweep_config(out)
+        cfg[key] = grid
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert "lambdas must be positive and kappas nonnegative" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_other_grids_rows_do_not_hide_a_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # The directory holds two rows of an earlier grid; the new grid's
+        # failed point must still make the sweep partial.
+        out = str(tmp_path / "sw")
+        cfg = self.sweep_config(out, h=1 / 8)
+        cfg.update(lambdas=[40.0, 60.0], kappas=[0.0])
+        assert main(["sweep", "--config", write_config(tmp_path, "a.json", cfg),
+                     "--quiet"]) == 0
+        cfg["lambdas"] = [80.0, 100.0]
+        self.fail_solves(monkeypatch, lam=100.0)
+        rc = main(["sweep", "--config", write_config(tmp_path, "b.json", cfg)])
+        assert rc == 2
+        out_text, err = capsys.readouterr()
+        assert "1 computed, 0 skipped, 3 records" in out_text
+        assert "1 points missing" in err
+
     def disc_config(self, out, **grids):
         cfg = self.sweep_config(out)
         cfg.update(domain={"kind": "disc", "radius": 1.0, "h": 1 / 8}, k=2,
@@ -434,11 +483,12 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_failing_kappa_fails_alone(self, tmp_path, capsys):
-        # kappa -1 fails inside its (lam, eps) group; the group's kappa 0
+    def test_failing_kappa_fails_alone(self, tmp_path, capsys, monkeypatch):
+        # kappa 50 fails inside its (lam, eps) group; the group's kappa 0
         # point is still written.
         out = str(tmp_path / "sw")
-        cfg = self.disc_config(out, kappas=[0.0, -1.0], epss=[0.4])
+        cfg = self.disc_config(out, kappas=[0.0, 50.0], epss=[0.4])
+        self.fail_solves(monkeypatch, kappa=50.0)
         rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
         assert rc == 2
         assert "1 points missing" in capsys.readouterr().err
@@ -457,8 +507,6 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path, "--quiet"]) == 0
         with open(out + "/results.csv") as fh:
             full = fh.readlines()
-        with open(out + "/manifest.txt") as fh:
-            manifest = fh.read()
         rows = list(csv.DictReader(full))
         assert [(r["kappa"], r["start"]) for r in rows][1:] == \
             [("200", "single"), ("800", "single")]
@@ -469,8 +517,6 @@ class TestSweepCommand:
             again = fh.readlines()
         strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
         assert strip(again) == strip(full)
-        with open(out + "/manifest.txt") as fh:
-            assert fh.read() == manifest
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         out_a = str(tmp_path / "ser")

@@ -262,22 +262,12 @@ class TestRecords:
         assert back[0].total == rec.total
         assert back[0].coordinate_key() == rec.coordinate_key()
 
-    def test_manifest_resume_keys(self, tmp_path):
-        mask = build_rectangle(1, 1, 1 / 16)
-        rec = lab.RunRecord("sweep", lab.domain_label(mask), mask.h, 1, 50.0,
-                            0.0, (), 3, "single", 10, True, (1.0,), (2.0,),
-                            0.0, -1.0, (True,), 0.0, 0.5)
-        manifest = tmp_path / "manifest.txt"
-        lab.append_manifest(rec, manifest)
-        keys = lab.read_manifest_keys(manifest)
-        assert rec.coordinate_key() in keys
-
-    def test_repeated_verify_adds_no_manifest_lines(self, tmp_path):
+    def test_repeated_verify_keeps_one_record_file(self, tmp_path):
         for _ in range(3):
             lab.write_verdict(lab.verify_wedge_bound(2.0, 100.0, 1 / 24), tmp_path)
-        lines = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert len(lines) == 1
-        assert (tmp_path / "wedge-bound.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["wedge-bound.csv", "wedge-bound.json"]
+        assert len(lab.read_records_csv(tmp_path / "wedge-bound.csv")) == 1
 
 
 LABELS = st.text(string.ascii_letters + string.digits + "()=.-_ ", max_size=12)
