@@ -5,7 +5,6 @@ Run:  python demos/01_domains_and_eigenvalues.py
 """
 
 import numpy as np
-from scipy.special import jn_zeros
 
 from competelab import (build_disc, build_rectangle, build_wedge, lambda1,
                         scale_mask)
@@ -29,7 +28,7 @@ for delta in (0.25, 0.5, 0.9):
 
 print("\n=== principal eigenvalues ===")
 print(f"square: {lambda1(square):.5f}   analytic 2*pi^2 = {2 * np.pi ** 2:.5f}")
-j01 = float(jn_zeros(0, 1)[0])
+j01 = 2.404825557695773   # first zero of the Bessel function J0
 print(f"disc:   {lambda1(disc):.5f}   analytic j01^2  = {j01 ** 2:.5f}")
 print(f"wedge:  {lambda1(wedge):.5f}   (no closed form; sets the growth "
       "threshold for nontrivial states)")

@@ -21,46 +21,49 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import DomainMask
 from .model import Coupling, ScaledFamily, F_eval, df_eval, f_eval
 
 
 class _MaskOps:
-    """Per-mask stencil operator cache (built once, shared read-only)."""
+    """Per-mask operator cache (built once, shared read-only)."""
 
     def __init__(self, mask: DomainMask):
         n = mask.n_interior
-        nbr = mask.neighbors
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [np.full(n, 4.0)]
-        for d in range(4):
-            has = nbr[:, d] >= 0
-            rows.append(np.nonzero(has)[0])
-            cols.append(nbr[has, d])
-            vals.append(np.full(int(has.sum()), -1.0))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        # L = -h^2 * discrete Laplacian, symmetric positive definite
-        self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._stacked = {1: self.L}
+        # Neighbour positions in the order L's rows sum them, W, S, N, E
+        # (increasing flat index around the diagonal); a missing neighbour
+        # reads the zero padding slot n.
+        nbr = mask.neighbors[:, [1, 3, 2, 0]].T
+        self._nbr = np.where(nbr >= 0, nbr, n)
+        self._gather = {}   # row count k -> positions in a padded (k, n+1) stack
         self._box_args = (mask._ii, mask._jj)
         self._box = None
+        self.distance = None   # boundary distance, filled by the solve module
 
-    def stacked_L(self, k: int):
-        """Block-diagonal diag(L, ..., L) with k blocks, cached per k.
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """L X for an (n,) vector, or for each row of a (k, n) stack.
 
-        ``stacked_L(k) @ U.ravel()`` applies L to every row of a (k, n)
-        stack in one sparse product.  L is canonical CSR, so each row of
-        the block matrix holds L's entries in L's order, and every row sum
-        is bit-identical to the one in ``L @ U[i]``.
+        L = -h^2 * discrete Laplacian is symmetric positive definite.  Each
+        row gathers its four neighbours from a zero-padded copy of X and
+        sums ``0 - W - S + 4x - N - E`` in that order, the order of a sparse
+        row product over L's sorted columns, so the result is the same in
+        every bit as ``L @ x`` with L assembled as a sparse matrix.
         """
-        if k not in self._stacked:
-            self._stacked[k] = sp.block_diag([self.L] * k, format="csr")
-        return self._stacked[k]
+        n = self._nbr.shape[1]
+        rows = X.reshape(-1, n)
+        k = rows.shape[0]
+        idx = self._gather.get(k)
+        if idx is None:
+            idx = self._nbr[:, None, :] + (n + 1) * np.arange(k)[:, None]
+            self._gather[k] = idx
+        W, S, N, E = np.concatenate((rows, np.zeros((k, 1))), axis=1).take(idx)
+        out = np.subtract(0.0, W)
+        out -= S
+        out += 4.0 * rows
+        out -= N
+        out -= E
+        return out.reshape(X.shape)
 
     def box_solver(self) -> "_BoxSolver":
         """The mask's box solver, built on first use and cached."""
@@ -225,15 +228,13 @@ class EnergyReport:
 
 def dirichlet_energy(field: DensityField) -> float:
     """0.5 * integral of |grad u|^2, via edge-based forward differences."""
-    L = _ops(field.mask).L
-    return 0.5 * float(field.values @ (L @ field.values))
+    return 0.5 * float(field.values @ _ops(field.mask).apply(field.values))
 
 
 def laplacian(field: DensityField) -> DensityField:
     """Five-point discrete Laplacian; exterior neighbors read zero."""
-    L = _ops(field.mask).L
     h2 = field.mask.h ** 2
-    return DensityField(field.mask, -(L @ field.values) / h2)
+    return DensityField(field.mask, -_ops(field.mask).apply(field.values) / h2)
 
 
 class Objective:
@@ -245,15 +246,13 @@ class Objective:
     lam h^2 sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0
     and there are two or more species to couple.  ``hessian(U)`` returns
     the Hessian of the total at U as an operator on stacks, with the
-    factors that depend on U alone computed once.  Stacks meet L in one
-    sparse product with the block-diagonal ``diag(L, ..., L)``.
+    factors that depend on U alone computed once.  L meets a whole stack
+    in one call of the mask's five-point stencil (``_MaskOps.apply``).
     """
 
     def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
                  coupling: Coupling | None = None, kappa: float = 0.0):
-        ops = _ops(mask)
-        self.L = ops.L
-        self.Lk = ops.stacked_L(fam.k)
+        self.apply_L = _ops(mask).apply
         self.h2 = mask.h ** 2
         self.fam, self.lam = fam, lam
         self.coupling, self.kappa = coupling, kappa
@@ -263,17 +262,13 @@ class Objective:
     def of(cls, sys: SpeciesSystem) -> "Objective":
         return cls(sys.mask, sys.fam, sys.lam, sys.coupling, sys.kappa)
 
-    def apply_L(self, X: np.ndarray) -> np.ndarray:
-        """L applied to every row of the (k, n) stack X in one sparse product."""
-        return (self.Lk @ X.ravel()).reshape(X.shape)
-
     def _species_energy(self, v: np.ndarray, Lv: np.ndarray, i: int) -> float:
         return 0.5 * float(v @ Lv) - self.lam * self.h2 * float(
             np.sum(F_eval(self.fam, i + 1, v)))
 
     def species(self, v: np.ndarray, i: int):
         """J-energy of species i (0-based) at v, with the product L @ v."""
-        Lv = self.L @ v
+        Lv = self.apply_L(v)
         return self._species_energy(v, Lv, i), Lv
 
     def value(self, U: np.ndarray):
@@ -300,7 +295,7 @@ class Objective:
         V -> L v_i / h^2 - lam f_i'(u_i) v_i + kappa (Hess H(U) V)_i.
 
         The growth curvature lam f_i'(u_i) is evaluated here, once; each
-        application costs one sparse product and, when coupled, one
+        application costs one stencil product and, when coupled, one
         ``Coupling.d2H``.
         """
         curv = np.stack([self.lam * df_eval(self.fam, i + 1, U[i])
@@ -319,7 +314,8 @@ class Objective:
         The interaction h^2 sum H(U) is reported whenever a coupling is set
         and k > 1, also at kappa = 0, where it does not enter the total.
         """
-        dir_terms = np.array([0.5 * float(v @ (self.L @ v)) for v in U])
+        dir_terms = np.array([0.5 * float(v @ Lv)
+                              for v, Lv in zip(U, self.apply_L(U))])
         pot_terms = np.array([
             self.lam * self.h2 * float(np.sum(F_eval(self.fam, i + 1, v)))
             for i, v in enumerate(U)
@@ -367,11 +363,11 @@ def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> floa
     tol * mu / (lambda_2 / mu - 1) relative to it, and never lies below it
     beyond round-off.
     """
-    L = _ops(mask).L
-    box = _ops(mask).box_solver()
+    ops = _ops(mask)
+    L, box = ops.apply, ops.box_solver()
     x = np.outer(box.sx[:, 0], box.sy[:, 0]).ravel()[box.flat]
     x /= np.linalg.norm(x)
-    Lx = L @ x
+    Lx = L(x)
     mu = float(x @ Lx)
     p = Lp = None
     for _ in range(max_iters):
@@ -380,7 +376,7 @@ def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> floa
             return mu / mask.h ** 2
         w = box.solve(r, 0.0)
         w /= np.linalg.norm(w)
-        V, LV = [x, w], [Lx, L @ w]
+        V, LV = [x, w], [Lx, L(w)]
         if p is not None:
             V.append(p)
             LV.append(Lp)
@@ -400,7 +396,7 @@ def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> floa
         x /= np.linalg.norm(x)
         norm_p = np.linalg.norm(p)
         p, Lp = (p / norm_p, Lp / norm_p) if norm_p > 0 else (None, None)
-        Lx = L @ x
+        Lx = L(x)
         mu = float(x @ Lx)
     raise RuntimeError(f"eigenvalue iteration did not converge in {max_iters} steps")
 

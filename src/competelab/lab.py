@@ -596,6 +596,13 @@ class SweepSpec:
                              "nonnegative")
         for eps in self.eps_grid:   # a config error, not a failed point
             ScaledFamily(base=_LOGISTIC, k=self.k, eps=self._eps(eps))
+        # A repeated value names one coordinate twice: it would be solved
+        # twice in a run and counted as skipped twice on a resume.
+        for name, grid in (("lambdas", [float(x) for x in self.lam_grid]),
+                           ("kappas", [float(x) for x in self.kappa_grid]),
+                           ("epss", [self._eps(x) for x in self.eps_grid])):
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"sweep {name} repeat a value: {grid}")
 
     def _eps(self, eps) -> tuple:
         """An ``eps_grid`` entry as per-species scales: a list or tuple as

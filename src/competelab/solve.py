@@ -12,7 +12,7 @@ h^2 times the box solve shifted per species by the slope s_i =
 |f_i'(beta_i)| of the species' law at its cap, to a relative residual
 of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  The Hessian is built
 once per direction (``Objective.hessian``), so each CG step costs one
-box solve, one sparse product for the whole stack and, when coupled,
+box solve, one stencil product for the whole stack and, when coupled,
 one ``Coupling.d2H``.  A direction of non-positive curvature ends the
 inner solve with the iterate so far (Steihaug 1983); when it comes at
 the first step, the direction is the Sobolev gradient
@@ -66,7 +66,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .energy import (DensityField, Objective, SpeciesSystem, _ops,
                      energy_total, rescaled_copy)
@@ -333,10 +332,38 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
     """Euclidean distance from each interior node to the nearest
+    non-interior node, in length units; computed once per mask (read-only).
 
-    non-interior node, in length units."""
-    dist = ndimage.distance_transform_edt(mask.interior)
-    return dist[mask.interior] * mask.h
+    The exact transform in lattice units is separable (Felzenszwalb &
+    Huttenlocher, Theory of Computing 8, 2012): g is the distance to the
+    nearest non-interior node along the node's column, and the squared
+    distance is the minimum over row offsets s of g^2(j +- s) + s^2.  The
+    grid's outer ring is non-interior, so every column has such a node,
+    and offsets stop once s^2 reaches the largest squared distance left.
+    Everything is integer until the one square root.
+    """
+    ops = _ops(mask)
+    if ops.distance is None:
+        inside = mask.interior
+        nx, ny = inside.shape
+        i = np.arange(nx, dtype=np.int32)[:, None]
+        up = np.maximum.accumulate(np.where(inside, 0, i), axis=0)
+        down = np.minimum.accumulate(np.where(inside, nx, i)[::-1], axis=0)[::-1]
+        g = np.minimum(i - up, down - i)
+        # g^2 flanked by ny columns that read more than any squared distance
+        g2 = np.full((nx, 3 * ny), nx * nx + ny * ny, dtype=np.int32)
+        g2[:, ny:2 * ny] = g * g
+        d2 = g * g
+        cand = np.empty_like(d2)
+        s = 1
+        while s * s < d2.max():
+            np.minimum(g2[:, ny - s:2 * ny - s], g2[:, ny + s:2 * ny + s], out=cand)
+            cand += s * s
+            np.minimum(d2, cand, out=d2)
+            s += 1
+        ops.distance = np.sqrt(d2[inside]) * mask.h
+        ops.distance.setflags(write=False)
+    return ops.distance
 
 
 def _bump(mask: DomainMask, cap: float, lam: float) -> np.ndarray:

@@ -483,6 +483,21 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("grids,name", [
+        ({"lambdas": [40, 40]}, "lambdas"),
+        ({"kappas": [0, 50, 0.0]}, "kappas"),
+        ({"epss": [0.4, [0.4]]}, "epss")], ids=["lambda", "kappa", "eps"])
+    def test_repeated_grid_value_exits_1_without_output(self, tmp_path, capsys,
+                                                         grids, name):
+        # A repeated value names one coordinate twice; it is a config error,
+        # not a point solved twice (and skipped twice on a resume).
+        out = str(tmp_path / "sw")
+        cfg = self.disc_config(out, **grids)
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert f"sweep {name} repeat a value" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_failing_kappa_fails_alone(self, tmp_path, capsys, monkeypatch):
         # kappa 50 fails inside its (lam, eps) group; the group's kappa 0
         # point is still written.
@@ -531,17 +546,21 @@ class TestSweepCommand:
         assert strip(a) == strip(b)
 
 
-def test_import_loads_no_heavy_scipy_module():
-    """The package import stays free of scipy.linalg, scipy.sparse.linalg and
-    scipy.fft, which the solvers do without (start-up time and memory)."""
+def test_import_loads_no_heavy_scipy_module(tmp_path):
+    """The package imports and solves with numpy alone: after the import
+    and one CLI minimize no scipy module is loaded, so neither the start-up
+    nor a sweep's worker processes pay for one."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
                       else [])))
-    code = ("import sys, competelab, competelab.cli; print(sorted(m for m in "
-            "('scipy.linalg', 'scipy.sparse.linalg', 'scipy.fft') "
-            "if m in sys.modules))")
+    path = write_config(tmp_path, "c.json",
+                        base_run_config(str(tmp_path / "run"), h=1 / 8))
+    code = ("import sys, competelab, competelab.cli; "
+            f"rc = competelab.cli.main(['minimize', '--config', {path!r}, "
+            "'--quiet']); print(rc, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"

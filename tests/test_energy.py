@@ -1,14 +1,43 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from competelab.energy import (DensityField, Objective, SpeciesSystem, _ops,
                                bilinear_sample, dirichlet_energy, energy_gradient,
                                energy_total, field_to_csv, field_to_pgm, lambda1,
                                laplacian, rescaled_copy, single_species_energy)
-from competelab.geometry import build_disc, build_rectangle, build_wedge
+from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
+                                 build_wedge)
 from competelab.model import (F_eval, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
 from competelab.solve import segregation_projection
+
+
+def csr_laplacian(mask):
+    """The five-point matrix L = -h^2 Laplacian as a sparse CSR matrix,
+    assembled from ``mask.neighbors``: the reference for the stencil."""
+    n = mask.n_interior
+    nbr = mask.neighbors
+    rows = [np.arange(n)]
+    cols = [np.arange(n)]
+    vals = [np.full(n, 4.0)]
+    for d in range(4):
+        has = nbr[:, d] >= 0
+        rows.append(np.nonzero(has)[0])
+        cols.append(nbr[has, d])
+        vals.append(np.full(int(has.sum()), -1.0))
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def holed_mask():
+    """A custom 13 x 11 mask with a two-node hole and a one-node hole."""
+    interior = np.zeros((13, 11), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior[5, 4:6] = False
+    interior[8, 7] = False
+    return DomainMask(Grid(13, 11, 0.1), interior)
 
 
 def make_system(mask, k, lam, kappa, eps=None, rng=None, fill="random"):
@@ -60,6 +89,31 @@ class TestLaplacian:
             mask, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         ratio = -laplacian(u).values / u.values
         assert np.max(np.abs(ratio / (2 * np.pi ** 2) - 1)) < 1e-3
+
+
+STENCIL_MASKS = [lambda: build_rectangle(1.5, 0.75, 1 / 12),
+                 lambda: build_disc(1.0, 1 / 16), lambda: build_wedge(2.0, 1 / 24),
+                 holed_mask]
+
+
+class TestStencil:
+    @pytest.mark.parametrize("build", STENCIL_MASKS,
+                             ids=["rectangle", "disc", "wedge", "holed"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_bits_as_the_sparse_product(self, build, k):
+        # Zeros of both signs and negative entries included: every entry,
+        # signed zeros too, must equal the CSR row sum.
+        mask = build()
+        L = csr_laplacian(mask)
+        X = np.random.default_rng(k).normal(size=(k, mask.n_interior))
+        X[:, ::5] = 0.0
+        X[:, 2::7] = -0.0
+        X[:, 10:20] = -0.0
+        got = _ops(mask).apply(X)
+        want = np.stack([L @ x for x in X])
+        assert got.shape == X.shape
+        assert got.tobytes() == want.tobytes()
+        assert _ops(mask).apply(X[0]).tobytes() == (L @ X[0]).tobytes()
 
 
 class TestEnergyTotal:
@@ -220,7 +274,8 @@ class TestObjective:
         E, LU = obj.value(U)
         assert E == pytest.approx(energy_total(sys).total, rel=1e-12)
         assert np.array_equal(obj.grad(U, LU), energy_gradient(sys))
-        assert np.array_equal(LU, np.stack([obj.L @ u for u in U]))
+        L = csr_laplacian(sys.mask)
+        assert np.array_equal(LU, np.stack([L @ u for u in U]))
 
     @pytest.mark.parametrize("k,kappa", SEAM_CASES)
     def test_report_is_energy_total(self, k, kappa):
@@ -234,10 +289,11 @@ class TestObjective:
     def test_species_terms_are_single_species_energy(self):
         sys = make_system(build_wedge(2.0, 0.05), 3, 70.0, 15.0)
         obj = Objective(sys.mask, sys.fam, sys.lam)
+        L = csr_laplacian(sys.mask)
         for i, f in enumerate(sys.fields):
             e, Lv = obj.species(f.values, i)
             assert e == single_species_energy(f, i + 1, sys.fam, sys.lam)
-            assert np.array_equal(Lv, obj.L @ f.values)
+            assert np.array_equal(Lv, L @ f.values)
 
     def test_uncoupled_objective_ignores_kappa(self):
         sys = make_system(build_rectangle(1, 1, 0.1), 2, 90.0, 300.0)
@@ -265,7 +321,8 @@ class TestObjective:
         U = sys.stacked()
         V = np.random.default_rng(k).normal(size=U.shape) * sys.fam.betas[:, None]
         t = 1e-6
-        grad = lambda W: obj.grad(W, np.stack([obj.L @ w for w in W]))
+        L = csr_laplacian(sys.mask)
+        grad = lambda W: obj.grad(W, np.stack([L @ w for w in W]))
         fd = (grad(U + t * V) - grad(U - t * V)) / (2 * t)
         HV = obj.hessian(U)(V)
         assert np.max(np.abs(HV - fd)) <= 1e-6 * np.max(np.abs(HV))
@@ -329,7 +386,7 @@ class TestLambda1:
         # the Rayleigh quotient mu by Kato-Temple: mu - l1 <= tol mu^2/(l2 - mu).
         # Both sides carry round-off of about eps * |L| / l1, near 1e-12.
         h2 = mask.h ** 2
-        l1, l2 = np.linalg.eigvalsh(_ops(mask).L.toarray())[:2] / h2
+        l1, l2 = np.linalg.eigvalsh(csr_laplacian(mask).toarray())[:2] / h2
         got = lambda1(mask, tol=tol)
         slack = 1e-11 * l1
         assert got >= l1 - slack
@@ -344,7 +401,7 @@ class TestBoxSolver:
     @pytest.mark.parametrize("s", [0.0, 50.0, 5000.0])
     def test_exact_on_rectangles(self, width, height, h, s):
         mask = build_rectangle(width, height, h)
-        L = _ops(mask).L.toarray()
+        L = csr_laplacian(mask).toarray()
         A = L + s * h * h * np.eye(mask.n_interior)
         b = np.random.default_rng(3).normal(size=mask.n_interior)
         want = np.linalg.solve(A, b)
@@ -424,7 +481,7 @@ class TestBoxSolver:
         ops = _ops(mask)
         n = mask.n_interior
         P = ops.box_solver().solve(np.eye(n), shift)
-        A = ops.L.toarray() + shift * np.eye(n)
+        A = csr_laplacian(mask).toarray() + shift * np.eye(n)
         mu = np.linalg.eigvals(P @ A).real
         assert mu.min() > 1 - 1e-9
 

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from competelab.energy import (DensityField, Objective, SpeciesSystem, _ops,
                                energy_total)
-from competelab.geometry import build_disc, build_rectangle, build_wedge
+from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
+                                 build_wedge)
 from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
-from competelab.solve import (SolverConfig, _h1_shifts, _newton_direction,
-                              _projected_step, alive_flags,
+from competelab.solve import (SolverConfig, _distance_to_boundary, _h1_shifts,
+                              _newton_direction, _projected_step, alive_flags,
                               default_initializers, kappa_continuation,
                               merged_system, minimize_free,
                               minimize_multistart, minimize_partition,
@@ -429,6 +431,37 @@ class TestInitializers:
         b = dict(default_initializers(mask, fam, 100.0, cfg=SolverConfig(
             restarts=2, seed=42)))
         assert np.array_equal(a["random-1"].stacked(), b["random-1"].stacked())
+
+
+def random_holed_mask(seed):
+    """A custom mask on a random grid: a full interior with random holes."""
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(5, 40, size=2)
+    interior = np.zeros((nx, ny), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior &= rng.random((nx, ny)) > rng.uniform(0.0, 0.3)
+    interior[rng.integers(1, nx - 1), 1:-1] = True   # keep one interior row
+    return DomainMask(Grid(nx, ny, 1 / 16), interior)
+
+
+class TestBoundaryDistance:
+    @pytest.mark.parametrize("build", [
+        lambda: build_rectangle(1.5, 0.75, 1 / 12), lambda: build_disc(1.0, 1 / 16),
+        lambda: build_disc(1.0, 1 / 64), lambda: build_wedge(2.0, 1 / 24),
+        lambda: random_holed_mask(0)] + [
+        (lambda s=s: random_holed_mask(s)) for s in range(1, 21)],
+        ids=["rectangle", "disc", "disc-fine", "wedge"]
+        + [f"holed-{s}" for s in range(21)])
+    def test_same_bits_as_scipy(self, build):
+        mask = build()
+        want = ndimage.distance_transform_edt(mask.interior)[mask.interior] * mask.h
+        assert _distance_to_boundary(mask).tobytes() == want.tobytes()
+
+    def test_cached_per_mask(self):
+        mask = build_disc(1.0, 1 / 8)
+        first = _distance_to_boundary(mask)
+        assert _distance_to_boundary(mask) is first
+        assert not first.flags.writeable
 
 
 class TestMultistart:
