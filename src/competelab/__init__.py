@@ -1,11 +1,10 @@
 """Finite-difference laboratory for competing-species energy minimization."""
 
 from .geometry import (Grid, DomainMask, build_rectangle, build_disc,
-                       build_wedge, scale_mask, save_mask, load_mask)
+                       build_wedge, scale_mask)
 from .model import (Nonlinearity, ScaledFamily, Coupling, logistic,
-                    custom_nonlinearity, scaled_family, identical_family,
-                    f_eval, F_eval, coupling_quartic, custom_coupling,
-                    cutoff_phi)
+                    scaled_family, identical_family, f_eval, F_eval,
+                    coupling_quartic, cutoff_phi)
 from .energy import (DensityField, SpeciesSystem, EnergyReport, Objective,
                      laplacian, dirichlet_energy, energy_total, energy_gradient,
                      single_species_energy, lambda1, rescaled_copy,

@@ -2,8 +2,9 @@
 
 A run is configured by a single JSON file; CLI flags override the
 top-level scalars (seed, output directory, parallelism).  Configs are
-validated strictly before any computation: a missing required key or an
-unknown key aborts with exit code 1 and a message naming the key.
+validated strictly before any computation: a missing required key, an
+unknown key or a value of the wrong JSON type aborts with exit code 1 and
+a message naming the key.
 
 Exit codes: 0 success / verification PASS, 1 configuration error,
 2 non-convergence or partial sweep, 3 verification FAIL,
@@ -47,6 +48,44 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _is_number(v) -> bool:
+    """A JSON number: true and false are booleans, not 1 and 0."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+def _bad(key: str, what: str, v) -> ConfigError:
+    return ConfigError(key, f"config key \"{key}\" must be {what}, "
+                            f"got {json.dumps(v)}")
+
+
+def _number(cfg: dict, key: str, default=None) -> float:
+    """``cfg[key]`` as a float; a missing key takes ``default`` or, without
+    one, is an error."""
+    v = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not _is_number(v):
+        raise _bad(key, "a number", v)
+    return float(v)
+
+
+def _numbers(cfg: dict, key: str) -> list:
+    """The required ``cfg[key]`` as a list of floats."""
+    v = _require(cfg, key)
+    if not _is_numbers(v):
+        raise _bad(key, "a list of numbers", v)
+    return [float(x) for x in v]
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    v = cfg.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise _bad(key, "an integer", v)
+    return v
+
+
 def _check_unknown(cfg: dict, allowed, where: str):
     for key in cfg:
         if key not in allowed:
@@ -61,14 +100,13 @@ def parse_domain(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("domain", "config key \"domain\" must be an object")
     kind = _require(cfg, "kind")
-    if kind not in _DOMAIN_KEYS:
+    if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
         raise ConfigError("kind", f"unknown domain kind \"{kind}\"")
     _check_unknown(cfg, _DOMAIN_KEYS[kind], "domain")
-    _require(cfg, "h")
-    out = {"kind": kind, "h": float(cfg["h"])}
+    out = {"kind": kind, "h": _number(cfg, "h")}
     for key in _DOMAIN_KEYS[kind] - {"kind", "h"}:
         if key in cfg:
-            out[key] = float(cfg[key])
+            out[key] = _number(cfg, key)
     return out
 
 
@@ -106,16 +144,18 @@ def normalize_run_config(cfg: dict) -> dict:
                "out"}
     _check_unknown(cfg, allowed, "run config")
     domain = parse_domain(_require(cfg, "domain"))
-    k = int(cfg.get("k", 1))
+    k = _integer(cfg, "k", 1)
     if k < 1:
         raise ConfigError("k", "config key \"k\" must be at least 1")
-    lam = float(_require(cfg, "lambda"))
-    kappa = float(cfg.get("kappa", 0.0))
-    identical = bool(cfg.get("identical", False))
+    lam = _number(cfg, "lambda")
+    kappa = _number(cfg, "kappa", 0.0)
+    identical = cfg.get("identical", False)
+    if not isinstance(identical, bool):
+        raise _bad("identical", "true or false", identical)
     eps = cfg.get("eps", [])
-    if isinstance(eps, (int, float)):
-        eps = [float(eps)] * (k - 1)
-    eps = [float(e) for e in eps]
+    if not (_is_number(eps) or _is_numbers(eps)):
+        raise _bad("eps", "a number or a list of numbers", eps)
+    eps = [float(eps)] * (k - 1) if _is_number(eps) else [float(e) for e in eps]
     if identical and eps:
         raise ConfigError("eps", "config key \"eps\" must be omitted when "
                           "\"identical\" is set")
@@ -187,19 +227,12 @@ def _domain(cfg: dict) -> DomainMask:
     return lab.build_domain(parse_domain(_require(cfg, "domain")))
 
 
-def _floats(cfg: dict, key: str) -> list:
-    return [float(x) for x in _require(cfg, key)]
-
-
 def _verify_eig(cfg, solver, say):
     domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
                                              "width": 1.0, "height": 1.0}))
-    reference = cfg.get("reference", _analytic_eigenvalue(domain))
-    if reference is None:
-        raise ConfigError("reference",
-                          "config key \"reference\" required for this domain")
-    verdict = lab.verify_eigenvalue(lab.build_domain(domain), float(reference),
-                                    float(cfg.get("rel_tol", 0.01)))
+    reference = _number(cfg, "reference", _analytic_eigenvalue(domain))
+    verdict = lab.verify_eigenvalue(lab.build_domain(domain), reference,
+                                    _number(cfg, "rel_tol", 0.01))
     say(f"lambda1 {lab.fmt(verdict.details['lambda1'])}  reference "
         f"{lab.fmt(verdict.details['reference'])}  rel_err "
         f"{lab.fmt(verdict.details['rel_err'])}")
@@ -212,33 +245,32 @@ VERIFY = {
     "extinction": (
         {"domain", "k", "lambda", "solver", "out"},
         lambda cfg, solver, say: lab.verify_extinction_identical(
-            _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
+            _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
             solver)),
     "eps-threshold": (
         {"domain", "k", "lambda", "kappa", "eps_grid", "solver", "out"},
         lambda cfg, solver, say: lab.scan_epsilon_threshold(
-            _domain(cfg), int(cfg.get("k", 2)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "kappa")), _floats(cfg, "eps_grid"), solver)),
+            _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
+            _number(cfg, "kappa"), _numbers(cfg, "eps_grid"), solver)),
     "limiti": (
         {"domain", "lambdas", "solver", "out"},
         lambda cfg, solver, say: lab.verify_limiti_asymptotics(
-            _domain(cfg), _floats(cfg, "lambdas"), solver)),
+            _domain(cfg), _numbers(cfg, "lambdas"), solver)),
     "wedge-bound": (
         {"m", "lambda", "h", "solver", "out"},
         lambda cfg, solver, say: lab.verify_wedge_bound(
-            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")), solver)),
+            _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
+            solver)),
     "cutoff": (
         {"m", "lambda", "h", "deltas", "solver", "out"},
         lambda cfg, solver, say: lab.verify_cutoff_scaling(
-            float(cfg.get("m", 2.0)), float(_require(cfg, "lambda")),
-            float(_require(cfg, "h")), _floats(cfg, "deltas"), solver)),
+            _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
+            _numbers(cfg, "deltas"), solver)),
     "system2": (
         {"domain", "lambda", "eps2", "kappa_schedule", "solver", "out"},
         lambda cfg, solver, say: lab.verify_system2(
-            _domain(cfg), float(_require(cfg, "lambda")),
-            float(_require(cfg, "eps2")), _floats(cfg, "kappa_schedule"),
-            solver)),
+            _domain(cfg), _number(cfg, "lambda"), _number(cfg, "eps2"),
+            _numbers(cfg, "kappa_schedule"), solver)),
     "eig": ({"domain", "reference", "rel_tol", "out"}, _verify_eig),
 }
 VERIFY_EXPERIMENTS = tuple(VERIFY)
@@ -271,12 +303,16 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     allowed = {"domain", "k", "lambdas", "kappas", "epss", "solver", "out"}
     _check_unknown(cfg, allowed, "sweep config")
+    epss = _require(cfg, "epss")
+    if not isinstance(epss, list) or not all(
+            _is_number(e) or _is_numbers(e) for e in epss):
+        raise _bad("epss", "a list of numbers or lists of numbers", epss)
     spec = lab.SweepSpec(
         domain=parse_domain(_require(cfg, "domain")),
-        k=int(cfg.get("k", 1)),
-        lam_grid=[float(x) for x in _require(cfg, "lambdas")],
-        kappa_grid=[float(x) for x in _require(cfg, "kappas")],
-        eps_grid=_require(cfg, "epss"),
+        k=_integer(cfg, "k", 1),
+        lam_grid=_numbers(cfg, "lambdas"),
+        kappa_grid=_numbers(cfg, "kappas"),
+        eps_grid=epss,
         solver=parse_solver(cfg.get("solver"), args.seed),
         outdir=args.out or cfg.get("out", "runs"),
     )

@@ -11,8 +11,6 @@ the scaling map below exercises.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 SPACE_DIM = 2  # mask logic is 2-D; exponents like delta**(SPACE_DIM+2) keep N symbolic
@@ -198,30 +196,3 @@ def scale_mask(mask: DomainMask, delta: float) -> DomainMask:
     params = dict(mask.params)
     params["scaled_by"] = params.get("scaled_by", 1.0) * delta
     return DomainMask(mask.grid, inside, kind=mask.kind, params=params)
-
-
-def save_mask(mask: DomainMask, path) -> None:
-    """Write the 0/1 interior matrix as CSV plus a JSON sidecar ``.meta``."""
-    path = str(path)
-    np.savetxt(path, mask.interior.astype(np.int8), fmt="%d", delimiter=",")
-    meta = {
-        "h": mask.grid.h,
-        "origin": list(mask.grid.origin),
-        "kind": mask.kind,
-        "params": {k: v for k, v in mask.params.items()
-                   if isinstance(v, (int, float, str))},
-    }
-    with open(path + ".meta", "w") as fh:
-        json.dump(meta, fh, indent=1)
-
-
-def load_mask(path) -> DomainMask:
-    path = str(path)
-    interior = np.loadtxt(path, delimiter=",", dtype=np.int8).astype(bool)
-    if interior.ndim == 1:
-        interior = interior[None, :]
-    with open(path + ".meta") as fh:
-        meta = json.load(fh)
-    grid = Grid(interior.shape[0], interior.shape[1], float(meta["h"]),
-                origin=tuple(meta["origin"]))
-    return DomainMask(grid, interior, kind=meta["kind"], params=meta.get("params"))

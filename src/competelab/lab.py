@@ -312,31 +312,6 @@ def verify_limiti_asymptotics(mask: DomainMask, lam_list,
     return LabVerdict("limiti", status, details=details, records=records)
 
 
-def estimate_lambda_zero(mask: DomainMask, k: int, cfg: SolverConfig | None = None,
-                         factor: float = 1.3, max_steps: int = 25) -> dict:
-    """Empirical growth threshold: smallest scanned rate at which the
-
-    single-species minimum dips below -alpha*|Omega|*(1 - 1/(2k)),
-    scanning a geometric grid from just above the principal eigenvalue.
-    """
-    cfg = cfg or SolverConfig()
-    lam1 = lambda1(mask)
-    threshold = -_LOGISTIC.alpha * mask.measure * (1.0 - 1.0 / (2 * k))
-    lam = 1.05 * lam1
-    table = []
-    found = None
-    for _ in range(max_steps):
-        best, _ = minimize_multistart(mask, _SINGLE, lam, cfg=cfg)
-        val = best.energy / lam
-        table.append((lam, val))
-        if val < threshold:
-            found = lam
-            break
-        lam *= factor
-    return {"lambda0": found, "lambda1": lam1, "threshold": threshold,
-            "scan": table}
-
-
 def wedge_bound_gamma(m: float, lam: float, gmax: float) -> float:
     """Barrier coefficient gamma = lam * gmax / (2 (m^2 (N-1) - 1)), N = 2."""
     denom = 2.0 * (m * m * (SPACE_DIM - 1) - 1.0)

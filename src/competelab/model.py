@@ -14,8 +14,7 @@ choice is the quartic H(s) = 1/2 sum_{i != j} s_i^2 s_j^2.
 
 The stock law and the quartic carry closed-form second derivatives (g'
 and the pointwise Hessian of H), which the free solver's Newton step
-uses; a law or coupling built without them gets central differences of
-g or dH with step ANTIDERIVATIVE_STEP.
+uses; they are required fields of ``Nonlinearity`` and ``Coupling``.
 """
 
 from __future__ import annotations
@@ -25,23 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-# The central-difference checks of G against g (custom_nonlinearity) and
-# of dH against H (custom_coupling): sample count on (0, 2 beta] for G,
-# step (relative to beta for G), and tolerance relative to max(1, max |g|)
-# or max(1, max |dH|).  The step also derives g' and the Hessian of H
-# when they are not given in closed form.
-ANTIDERIVATIVE_SAMPLES = 64
-ANTIDERIVATIVE_STEP = 1e-6
-ANTIDERIVATIVE_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
     """Single-species growth law g with its structural constants.
 
     ``G`` is the closed-form antiderivative of g (zero at zero), from which
-    every potential is evaluated.  ``dg`` is the derivative of g; left out,
-    it is the central difference of g with step ANTIDERIVATIVE_STEP * beta.
+    every potential is evaluated, and ``dg`` is the derivative of g.
     """
 
     g: Callable
@@ -49,22 +38,7 @@ class Nonlinearity:
     gmax: float
     alpha: float
     G: Callable
-    name: str = "custom"
-    dg: Callable | None = None
-
-    def __post_init__(self):
-        if self.dg is None:
-            object.__setattr__(self, "dg", _central_slope(
-                self.g, ANTIDERIVATIVE_STEP * self.beta))
-
-
-def _central_slope(g: Callable, step: float) -> Callable:
-    """The central difference (g(s + step) - g(s - step)) / (2 step)."""
-    def dg(s):
-        s = np.asarray(s, dtype=float)
-        return (np.asarray(g(s + step), dtype=float)
-                - np.asarray(g(s - step), dtype=float)) / (2.0 * step)
-    return dg
+    dg: Callable
 
 
 def logistic() -> Nonlinearity:
@@ -82,48 +56,7 @@ def logistic() -> Nonlinearity:
         s = np.asarray(s, dtype=float)
         return np.where(s > 0, 1.0 - 2.0 * s, 0.0)
 
-    return Nonlinearity(g=g, beta=1.0, gmax=0.25, alpha=1.0 / 6.0, G=G,
-                        name="logistic", dg=dg)
-
-
-def custom_nonlinearity(g: Callable, G: Callable, beta: float, gmax: float,
-                        name: str = "custom") -> Nonlinearity:
-    """Wrap a user-supplied law and its antiderivative, checking both.
-
-    The checks are numerical: g must vanish on sampled non-positive
-    points, satisfy |g(t)/t - 1| < 0.05 at t = 1e-6 (unit right slope) and
-    be negative at sampled points beyond beta.  G must vanish at 0 and
-    its central-difference slope must match g at sampled points of
-    (0, 2 beta], which ties alpha = G(beta) to the integral of g over
-    [0, beta]; alpha must be positive.  The law's derivative is the
-    central difference of g.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    for s in (-1.0, -1e-3, 0.0):
-        if abs(float(g(s))) > 0:
-            raise ValueError("growth law must vanish on (-inf, 0]")
-    t = 1e-6
-    if abs(float(g(t)) / t - 1.0) >= 0.05:
-        raise ValueError("growth law must have unit right derivative at 0")
-    for s in (1.01 * beta, 1.5 * beta, 3.0 * beta):
-        if float(g(s)) >= 0:
-            raise ValueError("growth law must be negative beyond beta")
-    if float(G(0.0)) != 0.0:
-        raise ValueError("antiderivative must vanish at 0")
-    s = np.linspace(0.0, 2.0 * beta, ANTIDERIVATIVE_SAMPLES + 1)[1:]
-    d = ANTIDERIVATIVE_STEP * beta
-    slope = (np.asarray(G(s + d), dtype=float)
-             - np.asarray(G(s - d), dtype=float)) / (2.0 * d)
-    gs = np.asarray(g(s), dtype=float)
-    if np.any(np.abs(slope - gs)
-              > ANTIDERIVATIVE_TOL * max(1.0, float(np.abs(gs).max()))):
-        raise ValueError("antiderivative's slope does not match the growth law")
-    alpha = float(G(beta))
-    if alpha <= 0:
-        raise ValueError("integral of the growth law over [0, beta] must be positive")
-    return Nonlinearity(g=g, beta=float(beta), gmax=float(gmax), alpha=alpha,
-                        G=G, name=name)
+    return Nonlinearity(g=g, beta=1.0, gmax=0.25, alpha=1.0 / 6.0, G=G, dg=dg)
 
 
 @dataclass(frozen=True)
@@ -211,33 +144,12 @@ class Coupling:
     ``H`` maps a (k, ...) stack of densities to the pointwise penalty;
     ``dH`` returns the full stack of partials with the same shape as its
     input.  ``d2H(s, v)`` applies the pointwise Hessian of H at s to the
-    stack v; left out, it is the central difference of dH along v.
+    stack v.
     """
 
     H: Callable
     dH: Callable
-    k: int
-    kind: str = "custom"
-    d2H: Callable | None = None
-
-    def __post_init__(self):
-        if self.d2H is None:
-            object.__setattr__(self, "d2H", _directional_slope(self.dH))
-
-
-def _directional_slope(dH: Callable) -> Callable:
-    """d2H(s, v) as the central difference of dH along v, with step
-    ANTIDERIVATIVE_STEP relative to max |v|."""
-    def d2H(s, v):
-        s = np.asarray(s, dtype=float)
-        v = np.asarray(v, dtype=float)
-        scale = float(np.max(np.abs(v)))
-        if scale == 0.0:
-            return np.zeros_like(v)
-        t = ANTIDERIVATIVE_STEP / scale
-        return (np.asarray(dH(s + t * v), dtype=float)
-                - np.asarray(dH(s - t * v), dtype=float)) / (2.0 * t)
-    return d2H
+    d2H: Callable
 
 
 def coupling_quartic(k: int) -> Coupling:
@@ -272,39 +184,7 @@ def coupling_quartic(k: int) -> Coupling:
         out += 4.0 * s * (s * v).sum(axis=0)
         return out
 
-    return Coupling(H=H, dH=dH, k=k, kind="quartic", d2H=d2H)
-
-
-def custom_coupling(H: Callable, dH: Callable, k: int, rng=None,
-                    samples: int = 200) -> Coupling:
-    """Wrap a user coupling, spot-checking its structural assumptions.
-
-    At sampled densities H must be nonnegative, s_i dH_i nonnegative, and
-    dH must match central differences of H; H must vanish when at most
-    one density is nonzero.  The Hessian is the central difference of dH.
-    """
-    rng = np.random.default_rng(rng)
-    s = rng.uniform(0.0, 1.0, size=(k, samples))
-    if np.any(np.asarray(H(s)) < -1e-12):
-        raise ValueError("coupling must be nonnegative")
-    if np.any(s * np.asarray(dH(s)) < -1e-12):
-        raise ValueError("coupling must satisfy s_i * dH_i >= 0")
-    d = ANTIDERIVATIVE_STEP
-    t = s + d  # keeps every difference point nonnegative
-    grad = np.asarray(dH(t), dtype=float)
-    tol = ANTIDERIVATIVE_TOL * max(1.0, float(np.abs(grad).max()))
-    for i in range(k):
-        e = np.zeros((k, 1))
-        e[i] = d
-        slope = (np.asarray(H(t + e), dtype=float)
-                 - np.asarray(H(t - e), dtype=float)) / (2.0 * d)
-        if np.any(np.abs(slope - grad[i]) > tol):
-            raise ValueError("coupling's dH does not match the slope of H")
-    lone = np.zeros((k, k))
-    lone[np.arange(k), np.arange(k)] = rng.uniform(0.1, 1.0, size=k)
-    if np.any(np.abs(np.asarray(H(lone.T))) > 1e-12):
-        raise ValueError("coupling must vanish when at most one density is nonzero")
-    return Coupling(H=H, dH=dH, k=k, kind="custom")
+    return Coupling(H=H, dH=dH, d2H=d2H)
 
 
 def cutoff_phi(t):

@@ -43,16 +43,14 @@ iteration would repeat it, so the solve stops at once.  A positive
 model, where the projection blocks descent, is never flat.
 
 The free minimizer steps on the total coupled energy.  It stops on a
-flat step once the projected residual is below tolerance (above it
-flat steps take the full line search, which cannot spin), on an
-underflow, or when the energy has stalled for STALL_WINDOW steps with
-the residual below tolerance.  The partition solver alternates one step
-per species on its own single-species energy with a hard segregation
-projection (largest density keeps the node, ties go to the lowest
-index), so its output has pairwise disjoint supports by construction; a
-flat or underflowing species keeps its density, and the solve stops
-when no species moves or the total energy has stalled for STALL_WINDOW
-iterations.
+flat step once the projected residual is below tolerance (above it flat
+steps take the full line search, which cannot spin) or on an underflow.
+The partition solver alternates one step per species on its own
+single-species energy with a hard segregation projection (largest
+density keeps the node, ties go to the lowest index), so its output has
+pairwise disjoint supports by construction; a flat or underflowing
+species keeps its density, and the solve stops when no species moves or
+the total energy has stalled for STALL_WINDOW iterations.
 
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer.
@@ -74,7 +72,7 @@ from .model import Coupling, ScaledFamily, cutoff_phi
 
 # Relative energy drop below which a step counts as stalled (and a unit
 # trial whose model predicts less is flat), and the number of stalled
-# steps that ends a solve.
+# steps that ends a partition solve.
 TOL_ENERGY = 1e-10
 STALL_WINDOW = 20
 # Armijo sufficient-decrease factor and backtracking factor.
@@ -284,7 +282,6 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
         raise ValueError("non-finite energy at the initial iterate")
 
     energies = [E]
-    stall = 0
     cg_iters = 0
     converged = False
     stop_reason = "max_iters"
@@ -310,15 +307,8 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
             stop_reason = "step_underflow"
             break
 
-        drop = E - E_new
-        stall = stall + 1 if drop < TOL_ENERGY * max(1.0, abs(E)) else 0
         U, E, LU = U_new, E_new, LU_new
         energies.append(E)
-
-        if stall >= STALL_WINDOW and resnorm <= tol_res:
-            converged = True
-            stop_reason = "residual"
-            break
 
     final = sys0.replace_values(U)
     report = energy_total(final)

@@ -81,6 +81,8 @@ class TestConfigValidation:
             parse_domain({"kind": "disc", "h": 0.1, "m": 2.0})  # foreign key
         with pytest.raises(ConfigError):
             parse_domain({"kind": "blob", "h": 0.1})
+        with pytest.raises(ConfigError):
+            parse_domain({"kind": ["disc"], "h": 0.1})  # unhashable kind
 
     def test_solver_parse(self):
         cfg = parse_solver({"restarts": 2}, seed_override=99)
@@ -122,6 +124,27 @@ class TestConfigValidation:
         rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
         assert rc == 1
         assert f"unknown config key \"{key}\"" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update, key", [
+        ({"identical": "false"}, "identical"),
+        ({"k": True}, "k"),
+        ({"k": 2.7, "eps": 0.5}, "k"),
+        ({"lambda": [50]}, "lambda"),
+        ({"k": 2, "eps": "0.5"}, "eps"),
+        ({"domain": {"kind": "disc", "h": "0.1"}}, "h"),
+    ], ids=["identical-string", "k-bool", "k-float", "lambda-list",
+            "eps-string", "h-string"])
+    def test_wrongly_typed_value_exits_1_naming_key(self, tmp_path, capsys,
+                                                    update, key):
+        # Each of these used to run (bool("false") is True, int(2.7) is 2)
+        # or end in an error that did not name the key.
+        out = tmp_path / "o"
+        cfg = base_run_config(str(out))
+        cfg.update(update)
+        rc = main(["minimize", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert rc == 1
+        assert f"config key \"{key}\" must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eig", "--jobs", "2"],
@@ -289,6 +312,23 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: empty")
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("name, cfg, key", [
+        ("extinction", {"domain": {"kind": "disc", "h": 1 / 8}, "k": True,
+                        "lambda": 60.0}, "k"),
+        ("wedge-bound", {"lambda": "120", "h": 1 / 32}, "lambda"),
+        ("cutoff", {"lambda": 120.0, "h": 1 / 32, "deltas": 0.5}, "deltas"),
+        ("eig", {"reference": "30"}, "reference"),
+    ], ids=["extinction-k", "wedge-bound-lambda", "cutoff-deltas",
+            "eig-reference"])
+    def test_wrongly_typed_value_exits_1_naming_key(self, tmp_path, capsys,
+                                                    name, cfg, key):
+        rc = main(["verify", name, "--config",
+                   write_config(tmp_path, "v.json", cfg),
+                   "--out", str(tmp_path / "v"), "--quiet"])
+        assert rc == 1
+        assert f"config key \"{key}\" must be" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_system2_inconclusive_exit_4(self, tmp_path):
         cfg = {"domain": {"kind": "wedge", "m": 2.0, "h": 1 / 24},
                "lambda": 200.0, "eps2": 0.6, "kappa_schedule": [10, 100],
@@ -443,6 +483,19 @@ class TestSweepCommand:
             capsys.readouterr().err
         assert not os.path.exists(out)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("key, value", [("k", 1.0), ("lambdas", 40.0),
+                                            ("kappas", ["0"]), ("epss", ["0.5"]),
+                                            ("epss", [[True]])])
+    def test_wrongly_typed_value_exits_1_naming_key(self, tmp_path, capsys,
+                                                    key, value):
+        out = str(tmp_path / "sw")
+        cfg = self.sweep_config(out)
+        cfg[key] = value
+        rc = main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)])
+        assert rc == 1
+        assert f"config key \"{key}\" must be" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_other_grids_rows_do_not_hide_a_failure(self, tmp_path, capsys,
                                                     monkeypatch):

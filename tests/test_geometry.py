@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from competelab.geometry import (Grid, DomainMask, build_disc, build_rectangle,
-                                 build_wedge, load_mask, save_mask, scale_mask)
+                                 build_wedge, scale_mask)
 
 
 def count_rectangle_nodes(width, height, h):
@@ -180,16 +180,3 @@ class TestMaskStructure:
         m = DomainMask(g, interior)
         with pytest.raises(ValueError):
             m.contains(0.0, 0.0)
-
-
-class TestMaskIO:
-    def test_roundtrip(self, tmp_path):
-        m = build_wedge(2.0, 0.05)
-        path = tmp_path / "mask.csv"
-        save_mask(m, path)
-        back = load_mask(path)
-        assert np.array_equal(back.interior, m.interior)
-        assert back.grid.h == m.grid.h
-        assert back.grid.origin == m.grid.origin
-        assert back.kind == m.kind
-        assert back.measure == m.measure

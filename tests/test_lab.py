@@ -147,19 +147,6 @@ class TestLimiti:
             abs(d["fit_A"] + d["target"]) / abs(d["target"]))
 
 
-class TestLambdaZero:
-    def test_scan_on_coarse_square(self):
-        mask = build_rectangle(1, 1, 1 / 16)
-        out = lab.estimate_lambda_zero(mask, 2, FAST, max_steps=18)
-        assert out["lambda1"] > 0
-        assert out["threshold"] == pytest.approx(
-            -logistic().alpha * mask.measure * 0.75)
-        assert out["lambda0"] is not None
-        assert out["lambda0"] > out["lambda1"]
-        # the located rate actually satisfies the dip condition
-        assert out["scan"][-1][1] < out["threshold"]
-
-
 class TestEpsilonScan:
     def test_decoupled_always_coexists(self):
         mask = build_disc(1.0, 1 / 12)
@@ -221,8 +208,15 @@ class TestFirstComponentGap:
         # carries energy below -alpha*lam*|Omega|/(2k)
         mask = build_rectangle(1, 1, 1 / 16)
         cfg = SolverConfig(restarts=1, max_iters=20000)
-        scan = lab.estimate_lambda_zero(mask, 2, cfg, max_steps=18)
-        lam = 1.3 * scan["lambda0"]
+        # 1.3 lambda0, where lambda0 = 625.729869651192 is the first rate of
+        # the scan lam = 1.05 lambda1 * 1.3^n (this mask and cfg) at which
+        # the single-species minimum per unit rate dips below
+        # -alpha |Omega| (1 - 1/(2k)); the first assertion checks that.
+        lam = 813.4488305465496
+        single, _ = minimize_multistart(mask, ScaledFamily(logistic(), 1),
+                                        lam / 1.3, cfg=cfg)
+        assert single.energy / (lam / 1.3) < \
+            -logistic().alpha * mask.measure * (1 - 1 / (2 * 2))
         verdict = lab.scan_epsilon_threshold(mask, 2, lam, 50.0, [0.3], cfg)
         assert verdict.details["coexisting"] == [0.3]
         j1 = verdict.details["j1_values"][0]

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from competelab.model import (Coupling, F_eval, ScaledFamily,
-                              coupling_quartic, custom_coupling,
-                              custom_nonlinearity, cutoff_phi, df_eval, f_eval,
-                              identical_family, logistic, scaled_family)
+from competelab.model import (F_eval, ScaledFamily, coupling_quartic,
+                              cutoff_phi, df_eval, f_eval, identical_family,
+                              logistic, scaled_family)
 
 
 def composite_simpson(f, a, b, n=4096):
@@ -173,16 +172,6 @@ class TestQuarticCoupling:
         assert np.allclose(col[1:], 4.0 * s[0] * s[1:], rtol=1e-14)
 
 
-def cubic_law():
-    """g(s) = s - s^3 for s > 0 and its antiderivative s^2/2 - s^4/4."""
-    g = lambda s: np.where(np.asarray(s) > 0,
-                           np.asarray(s) - np.asarray(s, dtype=float) ** 3,
-                           0.0)
-    G = lambda s: (np.maximum(np.asarray(s, dtype=float), 0.0) ** 2 / 2
-                   - np.maximum(np.asarray(s, dtype=float), 0.0) ** 4 / 4)
-    return g, G
-
-
 class TestSecondDerivatives:
     def test_logistic_slope_closed_form(self):
         dg = logistic().dg
@@ -196,85 +185,6 @@ class TestSecondDerivatives:
         t = 1e-7
         fd = (f_eval(fam, i, s + t) - f_eval(fam, i, s - t)) / (2 * t)
         assert np.allclose(df_eval(fam, i, s), fd, rtol=0, atol=1e-6)
-
-    def test_custom_law_derives_the_closed_form(self):
-        stock = logistic()
-        law = custom_nonlinearity(stock.g, G=stock.G, beta=1.0, gmax=0.25)
-        s = np.random.default_rng(0).uniform(0.05, 1.95, 200)
-        assert np.allclose(law.dg(s), stock.dg(s), rtol=0, atol=1e-8)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_custom_coupling_derives_the_quartic_hessian(self, k):
-        q = coupling_quartic(k)
-        wrapped = custom_coupling(q.H, q.dH, k, rng=0)
-        rng = np.random.default_rng(k)
-        s = rng.uniform(0.05, 0.95, (k, 200))
-        v = rng.normal(size=(k, 200))
-        ref = q.d2H(s, v)
-        assert np.max(np.abs(wrapped.d2H(s, v) - ref)) <= 1e-7 * np.abs(ref).max()
-        assert np.array_equal(wrapped.d2H(s, np.zeros_like(v)), np.zeros_like(v))
-
-
-class TestCustomValidation:
-    def test_good_custom_law(self):
-        g, G = cubic_law()
-        nl = custom_nonlinearity(g, G=G, beta=1.0,
-                                 gmax=float(2 / (3 * np.sqrt(3))))
-        assert nl.alpha == pytest.approx(0.25, abs=1e-9)
-        assert nl.alpha == pytest.approx(composite_simpson(g, 0.0, 1.0),
-                                         abs=1e-9)
-
-    def test_antiderivative_of_other_law_rejected(self):
-        # The logistic law's potential with the cubic law: both vanish at 0
-        # and are positive at beta = 1, so only the slope check tells.
-        g, _ = cubic_law()
-        with pytest.raises(ValueError, match="slope"):
-            custom_nonlinearity(g, G=logistic().G, beta=1.0, gmax=0.4)
-        with pytest.raises(ValueError, match="vanish at 0"):
-            custom_nonlinearity(g, G=lambda s: cubic_law()[1](s) + 1.0,
-                                beta=1.0, gmax=0.4)
-
-    def test_wrong_slope_rejected(self):
-        g = lambda s: np.where(np.asarray(s) > 0, 2.0 * np.asarray(s), 0.0)
-        G = lambda s: np.maximum(np.asarray(s, dtype=float), 0.0) ** 2
-        with pytest.raises(ValueError):
-            custom_nonlinearity(g, G=G, beta=1.0, gmax=2.0)
-
-    def test_nonzero_on_negatives_rejected(self):
-        g = lambda s: np.asarray(s, dtype=float)
-        G = lambda s: np.asarray(s, dtype=float) ** 2 / 2
-        with pytest.raises(ValueError):
-            custom_nonlinearity(g, G=G, beta=1.0, gmax=1.0)
-
-    def test_positive_beyond_cap_rejected(self):
-        g = lambda s: np.where(np.asarray(s) > 0, np.asarray(s, dtype=float), 0.0)
-        G = lambda s: np.maximum(np.asarray(s, dtype=float), 0.0) ** 2 / 2
-        with pytest.raises(ValueError):
-            custom_nonlinearity(g, G=G, beta=1.0, gmax=1.0)
-
-    def test_custom_coupling_checks(self):
-        k = 2
-        bad_negative = Coupling(H=lambda s: -np.ones(s.shape[1]),
-                                dH=lambda s: np.zeros_like(s), k=k)
-        with pytest.raises(ValueError):
-            custom_coupling(bad_negative.H, bad_negative.dH, k, rng=0)
-        ok = coupling_quartic(2)
-        wrapped = custom_coupling(ok.H, ok.dH, 2, rng=0)
-        assert wrapped.kind == "custom"
-
-    def test_custom_coupling_gradient_checked(self):
-        # dH must be the gradient of H: the quartic's with dH tripled is not
-        for k in (2, 3):
-            q = coupling_quartic(k)
-            custom_coupling(q.H, q.dH, k, rng=1)
-            with pytest.raises(ValueError, match="slope of H"):
-                custom_coupling(q.H, lambda s: 3.0 * q.dH(s), k, rng=1)
-        product = custom_coupling(lambda s: s[0] * s[1],
-                                  lambda s: np.stack([s[1], s[0]]), 2, rng=2)
-        assert product.kind == "custom"
-        with pytest.raises(ValueError, match="slope of H"):
-            custom_coupling(lambda s: s[0] * s[1],
-                            lambda s: np.stack([s[0], s[1]]), 2, rng=2)
 
 
 class TestCutoff:

@@ -61,7 +61,8 @@ class TestMinimizeFree:
         from competelab.model import Nonlinearity
         bad = Nonlinearity(g=lambda s: np.full(np.shape(s), np.nan),
                            beta=1.0, gmax=1.0, alpha=1.0,
-                           G=lambda s: np.full(np.shape(s), np.nan))
+                           G=lambda s: np.full(np.shape(s), np.nan),
+                           dg=lambda s: np.full(np.shape(s), np.nan))
         fam = ScaledFamily(base=bad, k=1, eps=())
         mask = build_rectangle(1, 1, 1 / 8)
         start = SpeciesSystem([DensityField(mask, np.full(mask.n_interior, 0.5))],
@@ -108,7 +109,7 @@ def uphill_solve(solver):
     """A k = 1 solve whose energy is the negated one of its gradient."""
     good = logistic()
     bad = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
-                       G=lambda s: -good.G(s))
+                       G=lambda s: -good.G(s), dg=good.dg)
     mask = build_rectangle(1, 1, 1 / 4)
     start = SpeciesSystem([DensityField(mask, np.full(mask.n_interior, 0.5))],
                           ScaledFamily(base=bad, k=1, eps=()), None, 1e4)
