@@ -1,10 +1,10 @@
-"""Command-line entry point: minimize, partition, verify, sweep, eig.
+"""Command-line entry point: minimize, partition, verify, sweep.
 
-A run is configured by a single JSON file; CLI flags override the
-top-level scalars (seed, output directory, parallelism).  Configs are
-validated strictly before any computation: a missing required key, an
-unknown key or a value of the wrong JSON type aborts with exit code 1 and
-a message naming the key.
+A run is configured by a single JSON object; CLI flags override the
+output directory and the solver seed.  Every command reads its config
+through ``read_config``, and configs are validated strictly before any
+computation: a missing required key, an unknown key or a value of the
+wrong JSON type aborts with exit code 1 and a message naming the key.
 
 Exit codes: 0 success / verification PASS, 1 configuration error,
 2 non-convergence or partial sweep, 3 verification FAIL,
@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -37,14 +38,12 @@ _BESSEL_J01 = 2.404825557695773
 
 
 class ConfigError(Exception):
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
+    """A config that cannot run; the message names the key or file at fault."""
 
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(key, f"missing required config key \"{key}\"")
+        raise ConfigError(f"missing required config key \"{key}\"")
     return cfg[key]
 
 
@@ -58,8 +57,8 @@ def _is_numbers(v) -> bool:
 
 
 def _bad(key: str, what: str, v) -> ConfigError:
-    return ConfigError(key, f"config key \"{key}\" must be {what}, "
-                            f"got {json.dumps(v)}")
+    return ConfigError(f"config key \"{key}\" must be {what}, "
+                       f"got {json.dumps(v)}")
 
 
 def _number(cfg: dict, key: str, default=None) -> float:
@@ -89,7 +88,7 @@ def _integer(cfg: dict, key: str, default: int) -> int:
 def _check_unknown(cfg: dict, allowed, where: str):
     for key in cfg:
         if key not in allowed:
-            raise ConfigError(key, f"unknown config key \"{key}\" in {where}")
+            raise ConfigError(f"unknown config key \"{key}\" in {where}")
 
 
 _DOMAIN_KEYS = {kind: {"kind", "h", *defaults}
@@ -98,10 +97,10 @@ _DOMAIN_KEYS = {kind: {"kind", "h", *defaults}
 
 def parse_domain(cfg) -> dict:
     if not isinstance(cfg, dict):
-        raise ConfigError("domain", "config key \"domain\" must be an object")
+        raise ConfigError("config key \"domain\" must be an object")
     kind = _require(cfg, "kind")
     if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
-        raise ConfigError("kind", f"unknown domain kind \"{kind}\"")
+        raise ConfigError(f"unknown domain kind \"{kind}\"")
     _check_unknown(cfg, _DOMAIN_KEYS[kind], "domain")
     out = {"kind": kind, "h": _number(cfg, "h")}
     for key in _DOMAIN_KEYS[kind] - {"kind", "h"}:
@@ -114,39 +113,62 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def parse_solver(cfg, seed_override=None) -> SolverConfig:
-    cfg = dict(cfg or {})
+    if not isinstance(cfg, dict):
+        raise _bad("solver", "an object", cfg)
     _check_unknown(cfg, _SOLVER_KEYS, "solver")
     if seed_override is not None:
-        cfg["seed"] = int(seed_override)
+        cfg = {**cfg, "seed": int(seed_override)}
     try:
         return SolverConfig(**cfg)
     except (TypeError, ValueError) as exc:
-        raise ConfigError("solver", f"invalid solver config: {exc}")
+        raise ConfigError(f"invalid solver config: {exc}")
 
 
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"config is not valid JSON: {exc}")
+def read_config(args, keys, where: str):
+    """A command's checked config: ``(cfg, solver, outdir)``.
+
+    ``cfg`` is the JSON object at ``--config`` (``{}`` without one) and may
+    hold only ``keys`` and "out".  ``solver`` is its "solver" object parsed
+    with the ``--seed`` override when ``keys`` include "solver", else None.
+    ``outdir`` is ``--out`` or else "out" (default "runs"); both must be
+    non-empty strings.
+    """
+    cfg = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object, got "
+                          + json.dumps(cfg))
+    _check_unknown(cfg, {*keys, "out"}, where)
+    outs = [cfg.get("out", "runs")] + ([] if args.out is None else [args.out])
+    for out in outs:
+        if not isinstance(out, str) or not out:
+            raise _bad("out", "a non-empty string", out)
+    solver = parse_solver(cfg.get("solver", {}), args.seed) \
+        if "solver" in keys else None
+    return cfg, solver, outs[-1]
+
+
+_RUN_KEYS = {"domain", "k", "lambda", "kappa", "eps", "identical", "solver"}
 
 
 def normalize_run_config(cfg: dict) -> dict:
-    """Validated, defaults-filled copy of a minimize/partition config.
+    """Validated, defaults-filled copy of a minimize/partition config whose
+    keys, solver and "out" ``read_config`` has checked.
 
     Normalization is idempotent: re-parsing a serialized normal form
     reproduces it exactly.
     """
-    allowed = {"domain", "k", "lambda", "kappa", "eps", "identical", "solver",
-               "out"}
-    _check_unknown(cfg, allowed, "run config")
     domain = parse_domain(_require(cfg, "domain"))
     k = _integer(cfg, "k", 1)
     if k < 1:
-        raise ConfigError("k", "config key \"k\" must be at least 1")
+        raise ConfigError("config key \"k\" must be at least 1")
     lam = _number(cfg, "lambda")
     kappa = _number(cfg, "kappa", 0.0)
     identical = cfg.get("identical", False)
@@ -157,25 +179,14 @@ def normalize_run_config(cfg: dict) -> dict:
         raise _bad("eps", "a number or a list of numbers", eps)
     eps = [float(eps)] * (k - 1) if _is_number(eps) else [float(e) for e in eps]
     if identical and eps:
-        raise ConfigError("eps", "config key \"eps\" must be omitted when "
+        raise ConfigError("config key \"eps\" must be omitted when "
                           "\"identical\" is set")
     if not identical and len(eps) != k - 1:
-        raise ConfigError("eps", f"config key \"eps\" must list {k - 1} scales")
-    solver = dict(cfg.get("solver", {}))
-    _check_unknown(solver, _SOLVER_KEYS, "solver")
+        raise ConfigError(f"config key \"eps\" must list {k - 1} scales")
     return {"domain": domain, "k": k, "lambda": lam, "kappa": kappa,
-            "eps": eps, "identical": identical, "solver": solver,
+            "eps": eps, "identical": identical,
+            "solver": dict(cfg.get("solver", {})),
             "out": cfg.get("out", "runs")}
-
-
-def _build_problem(norm: dict, seed_override=None):
-    mask = lab.build_domain(norm["domain"])
-    k = norm["k"]
-    fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),
-                       identical=norm["identical"])
-    coupling = coupling_quartic(k) if k > 1 else None
-    solver = parse_solver(norm["solver"], seed_override)
-    return mask, fam, coupling, solver
 
 
 def _dump_fields(result, outdir):
@@ -188,14 +199,18 @@ def _dump_fields(result, outdir):
 
 
 def cmd_minimize(args, partition: bool = False) -> int:
-    norm = normalize_run_config(load_config(args.config))
-    mask, fam, coupling, solver = _build_problem(norm, args.seed)
+    cfg, solver, outdir = read_config(args, _RUN_KEYS, "run config")
+    norm = normalize_run_config(cfg)
+    mask = lab.build_domain(norm["domain"])
+    k = norm["k"]
+    fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),
+                       identical=norm["identical"])
     say = (lambda *a: None) if args.quiet else print
     best, results = minimize_multistart(
-        mask, fam, norm["lambda"], coupling=coupling,
+        mask, fam, norm["lambda"],
+        coupling=coupling_quartic(k) if k > 1 else None,
         kappa=0.0 if partition else norm["kappa"], cfg=solver,
         partition=partition, warn=say)
-    outdir = args.out or norm["out"]
     records = [lab.record_from_result(
         "minimize", mask, res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
         verdict="best" if res is best else "") for res in results]
@@ -208,10 +223,6 @@ def cmd_minimize(args, partition: bool = False) -> int:
     if partition:
         say(f"alive-count {best.alive_count}")
     return EXIT_OK if best.converged else EXIT_NOCONV
-
-
-def cmd_partition(args) -> int:
-    return cmd_minimize(args, partition=True)
 
 
 def _analytic_eigenvalue(domain: dict):
@@ -243,52 +254,46 @@ def _verify_eig(cfg, solver, say):
 # The solver config is parsed only for experiments whose keys include it.
 VERIFY = {
     "extinction": (
-        {"domain", "k", "lambda", "solver", "out"},
+        {"domain", "k", "lambda", "solver"},
         lambda cfg, solver, say: lab.verify_extinction_identical(
             _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
             solver)),
     "eps-threshold": (
-        {"domain", "k", "lambda", "kappa", "eps_grid", "solver", "out"},
+        {"domain", "k", "lambda", "kappa", "eps_grid", "solver"},
         lambda cfg, solver, say: lab.scan_epsilon_threshold(
             _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
             _number(cfg, "kappa"), _numbers(cfg, "eps_grid"), solver)),
     "limiti": (
-        {"domain", "lambdas", "solver", "out"},
+        {"domain", "lambdas", "solver"},
         lambda cfg, solver, say: lab.verify_limiti_asymptotics(
             _domain(cfg), _numbers(cfg, "lambdas"), solver)),
     "wedge-bound": (
-        {"m", "lambda", "h", "solver", "out"},
+        {"m", "lambda", "h", "solver"},
         lambda cfg, solver, say: lab.verify_wedge_bound(
             _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
             solver)),
     "cutoff": (
-        {"m", "lambda", "h", "deltas", "solver", "out"},
+        {"m", "lambda", "h", "deltas", "solver"},
         lambda cfg, solver, say: lab.verify_cutoff_scaling(
             _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
             _numbers(cfg, "deltas"), solver)),
     "system2": (
-        {"domain", "lambda", "eps2", "kappa_schedule", "solver", "out"},
+        {"domain", "lambda", "eps2", "kappa_schedule", "solver"},
         lambda cfg, solver, say: lab.verify_system2(
             _domain(cfg), _number(cfg, "lambda"), _number(cfg, "eps2"),
             _numbers(cfg, "kappa_schedule"), solver)),
-    "eig": ({"domain", "reference", "rel_tol", "out"}, _verify_eig),
+    "eig": ({"domain", "reference", "rel_tol"}, _verify_eig),
 }
-VERIFY_EXPERIMENTS = tuple(VERIFY)
 
 
 def cmd_verify(args) -> int:
     name = args.experiment
     if name not in VERIFY:
-        print(f"unknown experiment \"{name}\"; choose from "
-              + ", ".join(VERIFY_EXPERIMENTS), file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = load_config(args.config) if args.config else {}
-    outdir = args.out or cfg.get("out", "runs")
-    say = (lambda *a: None) if args.quiet else print
+        raise ConfigError(f"unknown experiment \"{name}\"; choose from "
+                          + ", ".join(VERIFY))
     keys, runner = VERIFY[name]
-    _check_unknown(cfg, keys, f"{name} config")
-    solver = parse_solver(cfg.get("solver"), args.seed) if "solver" in keys \
-        else None
+    cfg, solver, outdir = read_config(args, keys, f"{name} config")
+    say = (lambda *a: None) if args.quiet else print
     verdict = runner(cfg, solver, say)
     lab.write_verdict(verdict, outdir)
 
@@ -300,9 +305,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    allowed = {"domain", "k", "lambdas", "kappas", "epss", "solver", "out"}
-    _check_unknown(cfg, allowed, "sweep config")
+    cfg, solver, outdir = read_config(
+        args, {"domain", "k", "lambdas", "kappas", "epss", "solver"},
+        "sweep config")
     epss = _require(cfg, "epss")
     if not isinstance(epss, list) or not all(
             _is_number(e) or _is_numbers(e) for e in epss):
@@ -313,13 +318,10 @@ def cmd_sweep(args) -> int:
         lam_grid=_numbers(cfg, "lambdas"),
         kappa_grid=_numbers(cfg, "kappas"),
         eps_grid=epss,
-        solver=parse_solver(cfg.get("solver"), args.seed),
-        outdir=args.out or cfg.get("out", "runs"),
+        solver=solver,
+        outdir=outdir,
     )
     log = (lambda *a: None) if args.quiet else print
-    # A domain the lab rejects is a config error (exit 1, no output
-    # directory), not a partial sweep.
-    lab.build_domain(spec.domain)
     try:
         summary = lab.run_sweep(spec, jobs=args.jobs, log=log)
     except Exception as exc:  # a failed point leaves the sweep partial
@@ -340,31 +342,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="competing-species energy minimization laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, text, run, config_required=True, seed=True):
+    def command(name, text, run, config_required=True):
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
         p.add_argument("--config", required=config_required,
                        help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the solver seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the solver seed")
         p.add_argument("--quiet", action="store_true")
         return p
 
     for name, text, run in (
             ("minimize", "multistart free minimization", cmd_minimize),
-            ("partition", "segregated partition minimization", cmd_partition)):
+            ("partition", "segregated partition minimization",
+             partial(cmd_minimize, partition=True))):
         command(name, text, run).add_argument(
             "--dump-fields", action="store_true",
             help="write per-species field CSV/PGM dumps")
     command("verify", "run a named verification experiment", cmd_verify,
             config_required=False).add_argument(
-                "experiment", help="|".join(VERIFY_EXPERIMENTS))
+                "experiment", help="|".join(VERIFY))
     command("sweep", "run a parameter sweep grid", cmd_sweep).add_argument(
         "--jobs", type=int, default=1, help="worker processes")
-    command("eig", "principal eigenvalue of a domain", cmd_verify,
-            config_required=False, seed=False).set_defaults(experiment="eig")
     return ap
 
 

@@ -1,10 +1,11 @@
-"""Discrete energies on masked grids and their exact gradients.
+"""Discrete energies on masked grids, their exact derivatives, and operators.
 
-The Dirichlet term sums forward differences over every lattice edge with
-at least one interior endpoint (boundary endpoints read zero), which
-makes it exactly ``0.5 * v . (L v)`` for the five-point matrix
-``L = -h^2 Laplacian``.  Potential and interaction terms use nodal
-quadrature with weight h^2.  With this convention the map
+The Dirichlet term is ``0.5 * v . (L v)`` for the five-point matrix
+``L = -h^2 Laplacian``, applied as a stencil (``_MaskOps.apply``): half
+the sum of squared differences over every lattice edge with at least one
+interior endpoint (boundary endpoints read zero).  Potential and
+interaction terms use nodal quadrature with weight h^2.  With this
+convention the map
 
     grad_i = -Lap(u_i) - lam * f_i(u_i) + kappa * dH_i(U)
 
@@ -13,6 +14,9 @@ directional derivative along d equals h^2 * sum(grad * d).  In the same
 units the Hessian applied to a stack V is
 
     L v_i / h^2 - lam * f_i'(u_i) v_i + kappa * (Hess H(U) V)_i.
+
+Also here: the mask's box solve (the solvers' only inverse), ``lambda1``,
+bilinear rescaled copies of fields, and the CSV and PGM field dumps.
 """
 
 from __future__ import annotations
@@ -227,7 +231,7 @@ class EnergyReport:
 
 
 def dirichlet_energy(field: DensityField) -> float:
-    """0.5 * integral of |grad u|^2, via edge-based forward differences."""
+    """0.5 * integral of |grad u|^2, as 0.5 * v . (L v)."""
     return 0.5 * float(field.values @ _ops(field.mask).apply(field.values))
 
 

@@ -67,10 +67,10 @@ class DomainMask:
     neighbors on the grid.  ``measure`` is exactly h^2 times the interior
     node count.
 
-    Precomputed index structure (used heavily by the energy module):
+    Interior nodes are numbered in row-major order of the grid.  The
+    energy module builds its stencil from ``neighbors`` and its box solve
+    from the nodes' lattice positions ``_ii``, ``_jj``:
 
-    - ``index``: (nx, ny) int array, position of each interior node in the
-      flat interior ordering, -1 elsewhere.
     - ``neighbors``: (n, 4) int array with the flat indices of the E, W,
       N, S neighbors; -1 marks a boundary (zero-valued) neighbor.
     - ``xs``, ``ys``: coordinates of the interior nodes.
@@ -99,8 +99,6 @@ class DomainMask:
 
         index = np.full(interior.shape, -1, dtype=np.int64)
         index[interior] = np.arange(int(interior.sum()))
-        self.index = index
-        self.index.setflags(write=False)
 
         ii, jj = np.nonzero(interior)
         self.xs = grid.origin[0] + grid.h * ii

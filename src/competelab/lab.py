@@ -559,6 +559,7 @@ class SweepSpec:
     eps_grid: list
     solver: SolverConfig
     outdir: str
+    label: str = field(init=False)
 
     def __post_init__(self):
         if not (self.lam_grid and self.kappa_grid and self.eps_grid):
@@ -578,6 +579,9 @@ class SweepSpec:
                            ("epss", [self._eps(x) for x in self.eps_grid])):
             if len(set(grid)) < len(grid):
                 raise ValueError(f"sweep {name} repeat a value: {grid}")
+        # The domain is built once here for the records' label, so that a
+        # domain the lab rejects is a config error before any output exists.
+        self.label = domain_label(build_domain(self.domain))
 
     def _eps(self, eps) -> tuple:
         """An ``eps_grid`` entry as per-species scales: a list or tuple as
@@ -656,11 +660,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     existing = read_records_csv(results_path) if os.path.exists(results_path) else []
     records = {rec.coordinate_key(): rec for rec in existing}
 
-    label = domain_label(build_domain(spec.domain))
     todo = {}   # (lam, eps) -> the group's kappas still to compute
     skipped = 0
     for lam, kappa, eps in spec.coordinates():
-        if _key(("sweep", label, spec.domain["h"], spec.k, lam, kappa, eps,
+        if _key(("sweep", spec.label, spec.domain["h"], spec.k, lam, kappa, eps,
                  spec.solver.seed)) in records:
             skipped += 1
         else:

@@ -93,19 +93,18 @@ class SolverConfig:
     tol_residual: float | None = None   # None -> 1e-6 * lam
     restarts: int = 8
     seed: int = 0
-    coexist_eta: float | None = None    # None -> 1e-3 * beta_i * sqrt(|Omega|)
 
     def __post_init__(self):
         for name, low in (("max_iters", 1), ("restarts", 0), ("seed", 0)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        for name in ("tol_residual", "coexist_eta"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool)
-                                  or not isinstance(v, numbers.Real)
-                                  or not math.isfinite(v) or v <= 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        v = self.tol_residual
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, numbers.Real)
+                              or not math.isfinite(v) or v <= 0):
+            raise ValueError(f"tol_residual must be a finite number > 0, "
+                             f"got {v!r}")
 
     def with_(self, **kw) -> "SolverConfig":
         return replace(self, **kw)
@@ -137,16 +136,11 @@ class MinimizeResult:
         return int(sum(self.alive))
 
 
-def alive_flags(sys: SpeciesSystem, cfg: SolverConfig) -> list:
-    """Species with L2 mass above the liveness threshold."""
-    betas = sys.fam.betas
+def alive_flags(sys: SpeciesSystem) -> list:
+    """Species with L2 mass above 1e-3 * beta_i * sqrt(|Omega|)."""
     root_measure = np.sqrt(sys.mask.measure)
-    out = []
-    for i, f in enumerate(sys.fields):
-        eta = cfg.coexist_eta if cfg.coexist_eta is not None \
-            else 1e-3 * betas[i] * root_measure
-        out.append(bool(f.l2_mass() > eta))
-    return out
+    return [bool(f.l2_mass() > 1e-3 * beta * root_measure)
+            for f, beta in zip(sys.fields, sys.fam.betas)]
 
 
 def _projected_residual(U, grad, betas):
@@ -313,7 +307,7 @@ def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
     final = sys0.replace_values(U)
     report = energy_total(final)
     return MinimizeResult(system=final, report=report, iters=it,
-                          converged=converged, alive=alive_flags(final, cfg),
+                          converged=converged, alive=alive_flags(final),
                           start_label=start_label, residual=resnorm,
                           energies=np.array(energies), stop_reason=stop_reason,
                           evals=evals, cg_iters=cg_iters,
@@ -577,7 +571,7 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     report = energy_total(final)
     grad = obj.grad(U, LU)
     return MinimizeResult(system=final, report=report, iters=it,
-                          converged=converged, alive=alive_flags(final, cfg),
+                          converged=converged, alive=alive_flags(final),
                           start_label=start_label,
                           residual=_projected_residual(U, grad, betas),
                           energies=np.array(energies), stop_reason=stop_reason,

@@ -29,6 +29,40 @@ def base_run_config(out, h=1 / 20):
 
 
 class TestConfigValidation:
+    # One small valid config per command reader; each case below breaks it.
+    COMMANDS = {
+        "minimize": (["minimize"], {
+            "domain": {"kind": "rectangle", "h": 1 / 8}, "k": 1,
+            "lambda": 40.0, "solver": {"restarts": 0}}),
+        "verify": (["verify", "wedge-bound"], {
+            "m": 2.0, "lambda": 40.0, "h": 1 / 8, "solver": {"restarts": 0}}),
+        "sweep": (["sweep"], {
+            "domain": {"kind": "rectangle", "h": 1 / 8}, "k": 1,
+            "lambdas": [40.0], "kappas": [0.0], "epss": [0.0],
+            "solver": {"restarts": 0}}),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: [1], "config must be a JSON object"),
+        (lambda cfg: {**cfg, "solver": [1]}, 'config key "solver" must be'),
+        (lambda cfg: {**cfg, "solver": None}, 'config key "solver" must be'),
+        (lambda cfg: {**cfg, "out": 5}, 'config key "out" must be'),
+        (lambda cfg: {**cfg, "out": None}, 'config key "out" must be'),
+        (lambda cfg: {**cfg, "out": ""}, 'config key "out" must be'),
+    ], ids=["top-level-list", "solver-list", "solver-null", "out-number",
+            "out-null", "out-empty"])
+    def test_malformed_config_exits_1_without_output(
+            self, tmp_path, capsys, monkeypatch, command, edit, message):
+        # These used to end in a traceback, name the wrong key, run with
+        # the default solver, or write a directory named 5 or None.
+        argv, cfg = self.COMMANDS[command]
+        monkeypatch.chdir(tmp_path)   # where "runs" or a stray directory lands
+        path = write_config(tmp_path, "c.json", edit(cfg))
+        assert main(argv + ["--config", path]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_missing_lambda_names_key(self, tmp_path, capsys):
         cfg = base_run_config(str(tmp_path / "o"))
         del cfg["lambda"]
@@ -149,7 +183,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("argv", [
         ["verify", "eig", "--jobs", "2"],
         ["verify", "eig", "--dump-fields"],
-        ["eig", "--seed", "3"],
         ["sweep", "--config", "s.json", "--dump-fields"],
         ["minimize", "--config", "c.json", "--jobs", "2"],
         ["partition", "--config", "c.json", "--jobs", "2"],
@@ -204,7 +237,7 @@ class TestMinimizeCommand:
         assert key.replace("lambda", "lam") in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("key", ["tol_residual", "coexist_eta"])
+    @pytest.mark.parametrize("key", ["tol_residual"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tolerance_exits_1(self, tmp_path, capsys, key, value):
         cfg = base_run_config(str(tmp_path / "run"), h=1 / 8)
@@ -260,7 +293,7 @@ class TestVerifyCommand:
         assert "unknown-exp" in capsys.readouterr().err
 
     def test_eig_square_default(self, tmp_path, capsys):
-        rc = main(["eig", "--out", str(tmp_path / "eig")])
+        rc = main(["verify", "eig", "--out", str(tmp_path / "eig")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "lambda1" in out and "PASS" in out

@@ -22,7 +22,7 @@ def fake_result(mask, values, lam=200.0):
     fam = ScaledFamily(base=logistic(), k=1, eps=())
     sys = SpeciesSystem([DensityField(mask, values)], fam, None, lam)
     return MinimizeResult(system=sys, report=energy_total(sys), iters=0,
-                          converged=True, alive=alive_flags(sys, FAST),
+                          converged=True, alive=alive_flags(sys),
                           start_label="fabricated", residual=0.0,
                           energies=np.array([energy_total(sys).total]))
 

@@ -597,34 +597,24 @@ class TestAliveFlags:
     def test_threshold_scaling(self):
         mask = build_rectangle(1, 1, 1 / 16)
         fam = scaled_family(logistic(), 2, (0.2,))
-        cfg = SolverConfig()
         eta2 = 1e-3 * fam.betas[1] * np.sqrt(mask.measure)
         U = np.zeros((2, mask.n_interior))
         sys = SpeciesSystem([DensityField(mask, U[i]) for i in range(2)],
                             fam, coupling_quartic(2), 100.0)
-        assert alive_flags(sys, cfg) == [False, False]
+        assert alive_flags(sys) == [False, False]
         U[1, :] = 2 * eta2 / np.sqrt(mask.measure)
         sys = sys.replace_values(U)
-        assert alive_flags(sys, cfg) == [False, True]
-
-    def test_config_override(self):
-        mask = build_rectangle(1, 1, 1 / 16)
-        fam = single_fam()
-        U = np.full((1, mask.n_interior), 1e-4)
-        sys = zero_system(mask, fam, 100.0).replace_values(U)
-        assert alive_flags(sys, SolverConfig(coexist_eta=1e-9)) == [True]
-        assert alive_flags(sys, SolverConfig(coexist_eta=1.0)) == [False]
+        assert alive_flags(sys) == [False, True]
 
 
 class TestConfigValidation:
     def test_bad_values(self):
-        for bad in ({"coexist_eta": -1.0}, {"tol_residual": 0.0},
+        for bad in ({"tol_residual": 0.0},
                     {"max_iters": 5e3}, {"max_iters": 0}, {"restarts": 1.0},
                     {"restarts": -3}, {"restarts": True}, {"seed": 1.5},
                     {"seed": -1}, {"tol_residual": float("nan")},
                     {"tol_residual": float("inf")}, {"tol_residual": True},
-                    {"coexist_eta": float("nan")}, {"coexist_eta": float("inf")},
-                    {"coexist_eta": True}, {"tol_residual": "1e-6"}):
+                    {"tol_residual": "1e-6"}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
