@@ -238,16 +238,15 @@ def _domain(cfg: dict) -> DomainMask:
     return lab.build_domain(parse_domain(_require(cfg, "domain")))
 
 
-def _verify_eig(cfg, solver, say):
+def _eig_args(cfg: dict) -> tuple:
+    """``verify eig``'s mask, reference and tolerance: the unit square at
+    h = 1/128 without a domain, its analytic eigenvalue without a
+    reference."""
     domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
                                              "width": 1.0, "height": 1.0}))
-    reference = _number(cfg, "reference", _analytic_eigenvalue(domain))
-    verdict = lab.verify_eigenvalue(lab.build_domain(domain), reference,
-                                    _number(cfg, "rel_tol", 0.01))
-    say(f"lambda1 {lab.fmt(verdict.details['lambda1'])}  reference "
-        f"{lab.fmt(verdict.details['reference'])}  rel_err "
-        f"{lab.fmt(verdict.details['rel_err'])}")
-    return verdict
+    return (lab.build_domain(domain),
+            _number(cfg, "reference", _analytic_eigenvalue(domain)),
+            _number(cfg, "rel_tol", 0.01))
 
 
 # Experiment name -> (config keys, runner(cfg, solver, say) -> verdict).
@@ -282,7 +281,9 @@ VERIFY = {
         lambda cfg, solver, say: lab.verify_system2(
             _domain(cfg), _number(cfg, "lambda"), _number(cfg, "eps2"),
             _numbers(cfg, "kappa_schedule"), solver)),
-    "eig": ({"domain", "reference", "rel_tol"}, _verify_eig),
+    "eig": (
+        {"domain", "reference", "rel_tol"},
+        lambda cfg, solver, say: lab.verify_eigenvalue(*_eig_args(cfg))),
 }
 
 
@@ -305,6 +306,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg, solver, outdir = read_config(
         args, {"domain", "k", "lambdas", "kappas", "epss", "solver"},
         "sweep config")

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainMask
-from .model import Coupling, ScaledFamily, F_eval, df_eval, f_eval
+from .model import Coupling, LawStack, ScaledFamily
+
+
+# Stacks of at most this many rows (one system's species) reach the
+# stencil and the box solve through flat indices cached per row count;
+# taller stacks, which only batches of systems make, gather along axis 1,
+# so the caches stay bounded however a batch shrinks.
+_INDEXED_ROWS = 4
 
 
 class _MaskOps:
@@ -46,7 +53,7 @@ class _MaskOps:
         self.distance = None   # boundary distance, filled by the solve module
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """L X for an (n,) vector, or for each row of a (k, n) stack.
+        """L X for an (n,) vector, or for each row of a (..., n) stack.
 
         L = -h^2 * discrete Laplacian is symmetric positive definite.  Each
         row gathers its four neighbours from a zero-padded copy of X and
@@ -57,11 +64,15 @@ class _MaskOps:
         n = self._nbr.shape[1]
         rows = X.reshape(-1, n)
         k = rows.shape[0]
-        idx = self._gather.get(k)
-        if idx is None:
-            idx = self._nbr[:, None, :] + (n + 1) * np.arange(k)[:, None]
-            self._gather[k] = idx
-        W, S, N, E = np.concatenate((rows, np.zeros((k, 1))), axis=1).take(idx)
+        if k > _INDEXED_ROWS:
+            idx, axis = self._nbr, 1
+        else:
+            idx, axis = self._gather.get(k), None
+            if idx is None:
+                idx = self._nbr[:, None, :] + (n + 1) * np.arange(k)[:, None]
+                self._gather[k] = idx
+        G = np.concatenate((rows, np.zeros((k, 1))), axis=1).take(idx, axis=axis)
+        W, S, N, E = G if axis is None else G.swapaxes(0, 1)
         out = np.subtract(0.0, W)
         out -= S
         out += 4.0 * rows
@@ -113,15 +124,21 @@ class _BoxSolver:
         self._scatter = {}   # row count k -> flat positions in a (k, box) array
 
     def solve(self, B: np.ndarray, shifts) -> np.ndarray:
-        """Apply the shifted inverse to each row of B (shape (k, n) or (n,)).
+        """Apply the shifted inverse to each row of B (shape (..., n)).
 
-        ``shifts`` is one shift per row, or a scalar, in the units of L.
+        ``shifts`` is one shift per row (in any shape with that many
+        entries), or a scalar, in the units of L.
         """
         B = np.asarray(B, dtype=float)
-        rows = np.atleast_2d(B)
+        rows = B.reshape(-1, B.shape[-1])
         k = rows.shape[0]
-        box = np.zeros((k,) + self.eig.shape)
-        np.put(box, self._scatter_index(k), rows)
+        if k > _INDEXED_ROWS:
+            box = np.zeros((k, self.eig.size))
+            box[:, self.flat] = rows
+            box = box.reshape((k,) + self.eig.shape)
+        else:
+            box = np.zeros((k,) + self.eig.shape)
+            np.put(box, self._scatter_index(k), rows)
         coef = self.sx @ box @ self.sy
         coef /= self.eig + np.asarray(shifts, dtype=float).reshape(-1, 1, 1)
         out = (self.sx @ coef @ self.sy).reshape(k, -1)
@@ -211,6 +228,12 @@ class SpeciesSystem:
     def k(self) -> int:
         return self.fam.k
 
+    @property
+    def coupled(self) -> bool:
+        """Whether the coupling enters the energy: kappa > 0, a coupling
+        and at least two species."""
+        return self.kappa > 0 and self.coupling is not None and self.k > 1
+
     def stacked(self) -> np.ndarray:
         return np.stack([f.values for f in self.fields], axis=0)
 
@@ -242,56 +265,124 @@ def laplacian(field: DensityField) -> DensityField:
 
 
 class Objective:
-    """The total energy of k densities on one mask: value, gradient, report.
+    """The total energy of k densities on one mask: value, gradient,
+    Hessian and report, for one system or for a stack of systems.
 
     Built from the model parameters, so one objective serves every iterate
-    of a solve; ``Objective.of(sys)`` takes them from a system.  Iterates
-    are (k, n) stacks.  Species energies are J_i(v) = 0.5 v.(L v) -
-    lam h^2 sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0
-    and there are two or more species to couple.  ``hessian(U)`` returns
-    the Hessian of the total at U as an operator on stacks, with the
-    factors that depend on U alone computed once.  L meets a whole stack
-    in one call of the mask's five-point stencil (``_MaskOps.apply``).
+    of a solve.  ``Objective.of(sys)`` takes them from one system, whose
+    iterates are (k, n) stacks; ``Objective.many(systems)`` from systems
+    on one mask, whose iterates are (m, k, n) stacks, row b for system b.
+    Each row keeps its own lam, species laws and kappa and gets the values
+    its own system's objective gives, bit for bit; the rows share only the
+    numpy calls.  Species energies are J_i(v) = 0.5 v.(L v) - lam h^2
+    sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0 and there
+    are two or more species to couple.  The coupled rows of a stack come
+    first and share one coupling, which meets them as one (k, m, n) stack.
+    ``hessian(U)`` returns the Hessian of the total at U as an operator on
+    stacks, with the factors that depend on U alone computed once.  L
+    meets a whole stack in one call of the mask's five-point stencil
+    (``_MaskOps.apply``).
     """
 
     def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
                  coupling: Coupling | None = None, kappa: float = 0.0):
+        self._set(mask, LawStack.of([fam]), np.array([lam], dtype=float),
+                  coupling, np.array([kappa], dtype=float),
+                  int(kappa > 0 and coupling is not None and fam.k > 1))
+
+    def _set(self, mask, laws, lams, coupling, kappas, n_coupled):
+        self.mask, self.laws, self.coupling = mask, laws, coupling
         self.apply_L = _ops(mask).apply
         self.h2 = mask.h ** 2
-        self.fam, self.lam = fam, lam
-        self.coupling, self.kappa = coupling, kappa
-        self.coupled = kappa > 0 and coupling is not None and fam.k > 1
+        self.lams, self.kappas, self.n_coupled = lams, kappas, n_coupled
+        self.lam = lams[:, None, None]
+        self.lamh2 = (lams * self.h2)[:, None]
+        self.kappa = kappas[:n_coupled, None, None]
+        self.kh2 = kappas[:n_coupled] * self.h2
 
     @classmethod
     def of(cls, sys: SpeciesSystem) -> "Objective":
         return cls(sys.mask, sys.fam, sys.lam, sys.coupling, sys.kappa)
 
-    def _species_energy(self, v: np.ndarray, Lv: np.ndarray, i: int) -> float:
-        return 0.5 * float(v @ Lv) - self.lam * self.h2 * float(
-            np.sum(F_eval(self.fam, i + 1, v)))
+    @classmethod
+    def many(cls, systems) -> "Objective":
+        """The objective of a list of systems on one mask, one row each.
+
+        The coupled systems (kappa > 0, a coupling and k > 1) must come
+        first and share one coupling."""
+        mask = systems[0].mask
+        if any(s.mask is not mask for s in systems):
+            raise ValueError("stacked systems must share one mask")
+        coupled = [s.coupled for s in systems]
+        n_coupled = sum(coupled)
+        coupling = systems[0].coupling if n_coupled else None
+        if any(coupled[n_coupled:]) or any(
+                s.coupling is not coupling for s in systems[:n_coupled]):
+            raise ValueError("the coupled systems of a stack must come first "
+                             "and share one coupling")
+        obj = cls.__new__(cls)
+        obj._set(mask, LawStack.of([s.fam for s in systems]),
+                 np.array([s.lam for s in systems]), coupling,
+                 np.array([s.kappa for s in systems]), n_coupled)
+        return obj
+
+    def take(self, rows) -> "Objective":
+        """The objective of the given rows (ascending indices) of a stack."""
+        obj = Objective.__new__(Objective)
+        obj._set(self.mask, self.laws.take(rows), self.lams[rows],
+                 self.coupling, self.kappas[rows],
+                 int(np.searchsorted(rows, self.n_coupled)))
+        return obj
+
+    def per_species(self) -> "Objective":
+        """One system's species as the rows of an uncoupled stack: row i is
+        species i alone, a (1, n) stack whose energy is J_i."""
+        k = self.laws.a.shape[1]
+        laws = LawStack(self.laws.base, self.laws.a.reshape(k, 1, 1),
+                        self.laws.c.reshape(k, 1, 1))
+        obj = Objective.__new__(Objective)
+        obj._set(self.mask, laws, np.repeat(self.lams, k), None, np.zeros(k), 0)
+        return obj
+
+    def _coupled(self, fn, *stacks):
+        """The coupling function ``fn`` on the coupled rows of (m, k, n)
+        stacks, which it meets species first, as a (k, m, n) stack."""
+        return fn(*(S[:self.n_coupled].swapaxes(0, 1) for S in stacks))
 
     def species(self, v: np.ndarray, i: int):
         """J-energy of species i (0-based) at v, with the product L @ v."""
-        Lv = self.apply_L(v)
-        return self._species_energy(v, Lv, i), Lv
+        E, Lv = self.per_species().take([i]).value(v[None, None])
+        return float(E[0]), Lv[0, 0]
 
     def value(self, U: np.ndarray):
-        """Total energy of U and the product L @ U, which ``grad`` reuses."""
+        """Total energy of U and the product L @ U, which ``grad`` reuses:
+        a float for a (k, n) stack, an array of one per row for an
+        (m, k, n) stack."""
+        if U.ndim == 2:
+            E, LU = self.value(U[None])
+            return float(E[0]), LU[0]
         LU = self.apply_L(U)
-        e = 0.0
-        for i in range(U.shape[0]):
-            e += self._species_energy(U[i], LU[i], i)
-        if self.coupled:
-            e += self.kappa * self.h2 * float(np.sum(self.coupling.H(U)))
+        # np.vecdot and the reduce over the last axis give each row the
+        # bits ``v @ Lv`` and ``np.sum`` give it alone; the species are
+        # summed in order, as one system's scalar sum would be.
+        es = 0.5 * np.vecdot(U, LU) - self.lamh2 * np.add.reduce(
+            self.laws.F(U), axis=-1)
+        e = es[:, 0]
+        for i in range(1, es.shape[1]):
+            e = e + es[:, i]
+        if self.n_coupled:
+            e[:self.n_coupled] += self.kh2 * np.add.reduce(
+                self._coupled(self.coupling.H, U), axis=-1)
         return e, LU
 
     def grad(self, U: np.ndarray, LU: np.ndarray) -> np.ndarray:
         """Stack of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
-        g = np.empty_like(U)
-        for i in range(U.shape[0]):
-            g[i] = LU[i] / self.h2 - self.lam * f_eval(self.fam, i + 1, U[i])
-        if self.coupled:
-            g += self.kappa * self.coupling.dH(U)
+        if U.ndim == 2:
+            return self.grad(U[None], LU[None])[0]
+        g = LU / self.h2 - self.lam * self.laws.f(U)
+        if self.n_coupled:
+            g[:self.n_coupled] += self.kappa * self._coupled(
+                self.coupling.dH, U).swapaxes(0, 1)
         return g
 
     def hessian(self, U: np.ndarray):
@@ -302,37 +393,47 @@ class Objective:
         application costs one stencil product and, when coupled, one
         ``Coupling.d2H``.
         """
-        curv = np.stack([self.lam * df_eval(self.fam, i + 1, U[i])
-                         for i in range(U.shape[0])])
-
-        def apply(V: np.ndarray) -> np.ndarray:
-            out = self.apply_L(V) / self.h2 - curv * V
-            if self.coupled:
-                out += self.kappa * self.coupling.d2H(U, V)
-            return out
-        return apply
+        if U.ndim == 2:
+            op = self.hessian(U[None])
+            return lambda V: op(V[None])[0]
+        return _Hessian(self, U, self.lam * self.laws.df(U))
 
     def report(self, U: np.ndarray) -> EnergyReport:
-        """Per-term breakdown of the energy of U.
+        """Per-term breakdown of the energy of one system's stack U.
 
         The interaction h^2 sum H(U) is reported whenever a coupling is set
         and k > 1, also at kappa = 0, where it does not enter the total.
         """
-        dir_terms = np.array([0.5 * float(v @ Lv)
-                              for v, Lv in zip(U, self.apply_L(U))])
-        pot_terms = np.array([
-            self.lam * self.h2 * float(np.sum(F_eval(self.fam, i + 1, v)))
-            for i, v in enumerate(U)
-        ])
+        dir_terms = 0.5 * np.vecdot(U, self.apply_L(U))
+        pot_terms = self.lamh2[0] * np.add.reduce(self.laws.F(U[None])[0],
+                                                  axis=-1)
         if self.coupling is not None and U.shape[0] > 1:
             interaction = self.h2 * float(np.sum(self.coupling.H(U)))
         else:
             interaction = 0.0
-        total = float(dir_terms.sum() - pot_terms.sum()
-                      + self.kappa * interaction)
+        kappa = float(self.kappas[0])
+        total = float(dir_terms.sum() - pot_terms.sum() + kappa * interaction)
         return EnergyReport(dirichlet=dir_terms, potential=pot_terms,
-                            interaction=interaction, kappa=self.kappa,
-                            total=total)
+                            interaction=interaction, kappa=kappa, total=total)
+
+
+class _Hessian:
+    """An objective's Hessian at the (m, k, n) stack U, as a map on stacks."""
+
+    def __init__(self, obj: Objective, U: np.ndarray, curv: np.ndarray):
+        self.obj, self.U, self.curv = obj, U, curv
+
+    def __call__(self, V: np.ndarray) -> np.ndarray:
+        obj = self.obj
+        out = obj.apply_L(V) / obj.h2 - self.curv * V
+        if obj.n_coupled:
+            out[:obj.n_coupled] += obj.kappa * obj._coupled(
+                obj.coupling.d2H, self.U, V).swapaxes(0, 1)
+        return out
+
+    def take(self, rows) -> "_Hessian":
+        """The Hessian of the given rows (ascending indices)."""
+        return _Hessian(self.obj.take(rows), self.U[rows], self.curv[rows])
 
 
 def energy_total(sys: SpeciesSystem) -> EnergyReport:

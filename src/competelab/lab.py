@@ -6,7 +6,8 @@ of RunRecords; experiments write no files.  ``write_run`` writes a run
 directory (records CSV and JSON files), and ``write_verdict``
 persists a verdict through it.  RunRecord's fields are the CSV columns,
 with floats printed at 17 significant digits, so re-running a record's
-inputs reproduces its energy columns bit for bit.
+inputs reproduces its energy columns bit for bit; ``wall_time`` is printed
+at 7, in a cell of fixed width.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import (DomainMask, SPACE_DIM, build_disc, build_rectangle,
                        build_wedge)
 from .model import ScaledFamily, coupling_quartic, cutoff_phi, identical_family, logistic
 from .solve import (MinimizeResult, SolverConfig, default_initializers,
-                    kappa_continuation, merged_system, minimize_free,
+                    kappa_continuation, merged_system, minimize_free_many,
                     minimize_multistart, segregation_projection)
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
@@ -72,6 +73,12 @@ class RunRecord:
     wall_time: float
     verdict: str = ""
 
+    def __post_init__(self):
+        # The wall time is kept as its CSV cell writes it, at a fixed width
+        # (7 significant digits), so a row's length does not depend on the
+        # clock and a record reads back equal to itself.
+        self.wall_time = float(_wall_cell(self.wall_time))
+
     def coordinate_key(self) -> str:
         return _key(getattr(self, name) for name in CSV_COLUMNS[:_KEY_CELLS])
 
@@ -94,7 +101,12 @@ def _codec(kind: str) -> tuple:
             lambda s: tuple(dec(x) for x in s.split(";") if x))
 
 
-_CODECS = [(f.name, *_codec(f.type)) for f in fields(RunRecord)]
+def _wall_cell(x) -> str:
+    return f"{float(x):.6e}"
+
+
+_CODECS = [(f.name, *((_wall_cell, float) if f.name == "wall_time"
+                      else _codec(f.type))) for f in fields(RunRecord)]
 CSV_COLUMNS = [name for name, _, _ in _CODECS]
 _KEY_CELLS = 8
 
@@ -560,6 +572,7 @@ class SweepSpec:
     solver: SolverConfig
     outdir: str
     label: str = field(init=False)
+    nodes: int = field(init=False)
 
     def __post_init__(self):
         if not (self.lam_grid and self.kappa_grid and self.eps_grid):
@@ -579,9 +592,11 @@ class SweepSpec:
                            ("epss", [self._eps(x) for x in self.eps_grid])):
             if len(set(grid)) < len(grid):
                 raise ValueError(f"sweep {name} repeat a value: {grid}")
-        # The domain is built once here for the records' label, so that a
-        # domain the lab rejects is a config error before any output exists.
-        self.label = domain_label(build_domain(self.domain))
+        # The domain is built once here for the records' label and the task
+        # sizes, so that a domain the lab rejects is a config error before
+        # any output exists.
+        mask = build_domain(self.domain)
+        self.label, self.nodes = domain_label(mask), mask.n_interior
 
     def _eps(self, eps) -> tuple:
         """An ``eps_grid`` entry as per-species scales: a list or tuple as
@@ -595,65 +610,146 @@ class SweepSpec:
             yield float(lam), float(kappa), self._eps(eps)
 
 
-def run_sweep_group(domain_spec: dict, k: int, lam: float, eps: tuple,
-                    kappas, cfg: SolverConfig) -> list:
-    """One (lam, eps) group of a sweep grid: for each kappa, in order, the
-    record of its multistart free minimization, or the exception that
-    failed it.
+# The most stacked values (systems x species x nodes) one sweep task
+# solves in one batch.  A stacked numpy call's cost is mostly per-call
+# overhead below this size and grows linearly in it above (README,
+# "Command line"), so a larger batch saves no more.
+BATCH_VALUES = 2 ** 15
 
-    The mask and the default starts are built once.  A start with at most
-    one nonzero species is solved once, uncoupled (kappa = 0): the coupling
-    vanishes on it and the absent species stay at 0 along the solve, so
-    its minimizer does not depend on kappa, and each kappa re-reports it
-    under its own system (the interaction is exactly 0).  The other starts
-    are solved at each kappa.  Results keep the start order, so the best
-    start breaks ties as ``minimize_multistart`` does.  A point's wall time
-    covers its own solves and the shared work it ran: the initializers go
-    to the first point, each lone solve to the first point that used it.
+
+def _group_values(k: int, restarts: int, kappas, nodes: int) -> int:
+    """Stacked values of one (lam, eps) group's solves: its lone-species
+    starts once, its other starts once per kappa.  (An upper bound: a
+    seeded start that does not fit is dropped.)"""
+    starts = k + (k > 1) + 1 + restarts   # single[-i], seeded, uniform, random-*
+    lone = starts if k == 1 else k
+    return (lone + (starts - lone) * len(kappas)) * k * nodes
+
+
+def sweep_tasks(groups, sizes, jobs: int) -> list:
+    """Cut a sweep's groups, in grid order, into tasks: runs of whole
+    groups of at most BATCH_VALUES stacked values each (a larger group runs
+    alone), split further until there are at least min(jobs, groups)."""
+    tasks, used = [], 0
+    for group, size in zip(groups, sizes):
+        if tasks and used + size <= BATCH_VALUES:
+            tasks[-1].append(group)
+            used += size
+        else:
+            tasks.append([group])
+            used = size
+    while len(tasks) < min(jobs, len(groups)):
+        i = max(range(len(tasks)), key=lambda t: len(tasks[t]))
+        half = len(tasks[i]) // 2
+        tasks[i:i + 1] = [tasks[i][:half], tasks[i][half:]]
+    return tasks
+
+
+def run_sweep_task(domain_spec: dict, k: int, groups,
+                   cfg: SolverConfig) -> list:
+    """A run of (lam, eps) groups of one sweep grid, given as (lam, eps,
+    kappas) triples, solved in one batch.  Returns, per group, the outcome
+    of each of its kappas in order (the record of its multistart free
+    minimization, or the exception that failed it), or the exception that
+    failed the group before any of its points ran.
+
+    The mask is built once, and each group's default starts once.  A start
+    with at most one nonzero species is solved once, uncoupled (kappa = 0):
+    the coupling vanishes on it and the absent species stay at 0 along the
+    solve, so its minimizer does not depend on kappa, and each kappa
+    re-reports it under its own system (the interaction is exactly 0).  The
+    other starts are solved at each kappa.  Every solve of every group goes
+    to one ``minimize_free_many`` call, and a failed solve fails only the
+    points that use it.  Results keep the start order, so the best start
+    breaks ties as ``minimize_multistart`` does.  A point's wall time covers
+    its own solves (each its share of the batch's time,
+    ``MinimizeResult.seconds``), its own reporting, and the shared work it
+    ran: the group's initializers go to its first point, each lone solve to
+    the first point that used it.
     """
     mask = build_domain(domain_spec)
-    fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
     coupling = coupling_quartic(k) if k > 1 else None
-    t0 = time.perf_counter()
-    starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
-    lone = {i: None for i, (_, sys0) in enumerate(starts)
-            if np.count_nonzero(sys0.stacked().any(axis=1)) <= 1}
-    out = []
-    for kappa in kappas:
-        try:
-            results = []
-            for i, (label, sys0) in enumerate(starts):
-                sys = SpeciesSystem(sys0.fields, fam, coupling, lam, kappa)
-                if i not in lone:
-                    results.append(minimize_free(sys, cfg, label))
-                    continue
-                if lone[i] is None:
-                    lone[i] = minimize_free(sys0, cfg, label)
-                final = sys.replace_values(lone[i].system.stacked())
-                results.append(replace(lone[i], system=final,
-                                       report=energy_total(final)))
-            best = min(results, key=lambda r: r.energy)
-            out.append(record_from_result(
-                "sweep", mask, best, cfg.seed, time.perf_counter() - t0,
-                eps=eps, verdict="coexist" if best.alive_count == k else "extinct"))
-        except Exception as exc:
-            out.append(exc)
+    systems, labels, plans = [], [], []
+
+    def add(system, label) -> int:
+        systems.append(system)
+        labels.append(label)
+        return len(systems) - 1
+
+    for lam, eps, kappas in groups:
         t0 = time.perf_counter()
+        try:
+            fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
+            starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
+        except Exception as exc:
+            plans.append(exc)
+            continue
+        lone = {i: add(sys0, label) for i, (label, sys0) in enumerate(starts)
+                if np.count_nonzero(sys0.stacked().any(axis=1)) <= 1}
+        points = []   # per kappa: its system and, per start, the solve to use
+        for kappa in kappas:
+            try:
+                at_kappa = partial(SpeciesSystem, fam=fam, coupling=coupling,
+                                   lam=lam, kappa=kappa)
+                points.append((at_kappa(starts[0][1].fields), [
+                    lone[i] if i in lone else add(at_kappa(sys0.fields), label)
+                    for i, (label, sys0) in enumerate(starts)]))
+            except Exception as exc:
+                points.append(exc)
+        plans.append((eps, set(lone.values()), points,
+                      time.perf_counter() - t0))
+
+    results = minimize_free_many(systems, cfg, labels) if systems else []
+    out = []
+    for plan in plans:
+        if isinstance(plan, Exception):
+            out.append(plan)
+            continue
+        eps, lone_solves, points, shared = plan
+        outcomes, charged = [], set()
+        for point in points:
+            t0 = time.perf_counter()
+            try:
+                if isinstance(point, Exception):
+                    raise point
+                system, solves = point
+                found = []
+                for j in solves:
+                    res = results[j]
+                    if isinstance(res, Exception):
+                        raise res
+                    if j in lone_solves:   # re-reported under this kappa
+                        final = system.replace_values(res.system.stacked())
+                        res = replace(res, system=final,
+                                      report=energy_total(final))
+                    found.append(res)
+                best = min(found, key=lambda r: r.energy)
+                own = set(solves) - charged
+                charged |= own
+                wall = shared + sum(results[j].seconds for j in own)
+                outcomes.append(record_from_result(
+                    "sweep", mask, best, cfg.seed,
+                    wall + time.perf_counter() - t0, eps=eps,
+                    verdict="coexist" if best.alive_count == k else "extinct"))
+            except Exception as exc:
+                outcomes.append(exc)
+            shared = 0.0
+        out.append(outcomes)
     return out
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     """Execute a sweep grid with resume support and bounded parallelism.
 
-    The unit of work is one (lam, eps) group of the grid, which computes
-    its kappas with ``run_sweep_group``; the pool runs one task per group.
-    A coordinate is done exactly when the results CSV holds its row, and
-    a group computes only its coordinates still to do.  The lone-species
-    solves a group shares are uncoupled whichever kappas it computes, so
-    a resumed sweep reproduces a fresh one bit for bit.  A failing kappa
-    fails alone.  The results CSV is atomically rewritten after every
-    group that completed a record, so an interrupted sweep never leaves a
-    partial row.
+    The grid's (lam, eps) groups, each with its kappas still to compute,
+    are cut into tasks by ``sweep_tasks``; a task solves its groups in one
+    batch (``run_sweep_task``), and the pool runs one task per worker at a
+    time on min(jobs, tasks) workers.  A coordinate is done exactly when the
+    results CSV holds its row.  The lone-species solves a group shares are
+    uncoupled whichever kappas it computes, so a resumed sweep reproduces a
+    fresh one bit for bit.  A failing kappa fails alone.  The results CSV
+    is atomically rewritten after every task that completed a record, so
+    an interrupted sweep never leaves a partial row.
     """
     os.makedirs(spec.outdir, exist_ok=True)
     results_path = os.path.join(spec.outdir, "results.csv")
@@ -668,39 +764,47 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
             skipped += 1
         else:
             todo.setdefault((lam, eps), []).append(kappa)
-    groups = [(spec.domain, spec.k, lam, eps, kappas, spec.solver)
-              for (lam, eps), kappas in todo.items()]
+    groups = [(lam, eps, kappas) for (lam, eps), kappas in todo.items()]
+    tasks = sweep_tasks(groups, [
+        _group_values(spec.k, spec.solver.restarts, kappas, spec.nodes)
+        for _, _, kappas in groups], jobs)
 
     def outcomes():
-        """(group, call returning its outcomes), in grid order."""
-        if jobs <= 1 or len(groups) <= 1:
-            for g in groups:
-                yield g, partial(run_sweep_group, *g)
+        """(task, call returning its outcomes), in grid order."""
+        args = (spec.domain, spec.k)
+        if jobs <= 1 or len(tasks) <= 1:
+            for task in tasks:
+                yield task, partial(run_sweep_task, *args, task, spec.solver)
             return
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(run_sweep_group, *g) for g in groups]
-            for g, fut in zip(groups, futs):
-                yield g, fut.result
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            futs = [pool.submit(run_sweep_task, *args, task, spec.solver)
+                    for task in tasks]
+            for task, fut in zip(tasks, futs):
+                yield task, fut.result
 
     failures = 0
-    for (_, _, lam, eps, kappas, _), result in outcomes():
+    for task, result in outcomes():
         try:
-            group = result()
-        except Exception as exc:   # the group failed before any point ran
-            group = [exc] * len(kappas)
-        new = [rec for rec in group if isinstance(rec, RunRecord)]
+            done = result()
+        except Exception as exc:   # the task failed before any point ran
+            done = [exc] * len(task)
+        done = [group if isinstance(group, list) else [group] * len(kappas)
+                for group, (_, _, kappas) in zip(done, task)]
+        new = [rec for group in done for rec in group
+               if isinstance(rec, RunRecord)]
         for rec in new:
             records[rec.coordinate_key()] = rec
         if new:
             write_run(spec.outdir, [records[key] for key in sorted(records)])
-        for kappa, rec in zip(kappas, group):
-            where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
-            if isinstance(rec, RunRecord):
-                log(f"{where} -> {rec.verdict}")
-            else:
-                failures += 1
-                log(f"{where} failed: {rec}")
+        for (lam, eps, kappas), group in zip(task, done):
+            for kappa, rec in zip(kappas, group):
+                where = f"sweep point lam={lam:g} kappa={kappa:g} eps={eps}"
+                if isinstance(rec, RunRecord):
+                    log(f"{where} -> {rec.verdict}")
+                else:
+                    failures += 1
+                    log(f"{where} failed: {rec}")
 
     return {"completed": sum(map(len, todo.values())) - failures,
             "skipped": skipped, "failed": failures, "total": len(records),

@@ -15,6 +15,8 @@ choice is the quartic H(s) = 1/2 sum_{i != j} s_i^2 s_j^2.
 The stock law and the quartic carry closed-form second derivatives (g'
 and the pointwise Hessian of H), which the free solver's Newton step
 uses; they are required fields of ``Nonlinearity`` and ``Coupling``.
+``LawStack`` evaluates the laws of every species of a stack of systems
+in one call each, as the solvers' objective meets them.
 """
 
 from __future__ import annotations
@@ -111,20 +113,18 @@ def identical_family(base: Nonlinearity, k: int) -> ScaledFamily:
     return ScaledFamily(base=base, k=k, identical=True)
 
 
+def _species_law(fam: ScaledFamily, i: int) -> "LawStack":
+    return LawStack(fam.base, *fam._scale(i))
+
+
 def f_eval(fam: ScaledFamily, i: int, s):
     """Growth law of species i (1-based) at density s; vectorized."""
-    a, c = fam._scale(i)
-    if c == 1.0:
-        return fam.base.g(s)
-    return a * fam.base.g(c * np.asarray(s, dtype=float))
+    return _species_law(fam, i).f(np.asarray(s, dtype=float))
 
 
 def df_eval(fam: ScaledFamily, i: int, s):
     """Derivative f_i'(s) = a c g'(c s) of species i's law; vectorized."""
-    a, c = fam._scale(i)
-    if c == 1.0:
-        return fam.base.dg(s)
-    return a * c * fam.base.dg(c * np.asarray(s, dtype=float))
+    return _species_law(fam, i).df(np.asarray(s, dtype=float))
 
 
 def F_eval(fam: ScaledFamily, i: int, s):
@@ -133,8 +133,54 @@ def F_eval(fam: ScaledFamily, i: int, s):
     From the base law's antiderivative: F_i(s) = (a/c) G(c s), which is
     G(c s)/k beyond the first species.
     """
-    a, c = fam._scale(i)
-    return (a / c) * fam.base.G(c * np.asarray(s, dtype=float))
+    return _species_law(fam, i).F(np.asarray(s, dtype=float))
+
+
+class LawStack:
+    """The growth laws of a stack of species rows that share one base law.
+
+    ``a`` and ``c`` hold each row's factors of ``ScaledFamily._scale``,
+    f(s) = a g(c s), as scalars for one species or in arrays that
+    broadcast against the stacks the laws meet: shape (m, k, 1) for m
+    systems of k species each.  A row's values do not depend on the rows
+    beside it, and when every row runs the base law itself no factor is
+    applied (a factor of 1 would multiply exactly).
+    """
+
+    def __init__(self, base: Nonlinearity, a: np.ndarray, c: np.ndarray):
+        self.base, self.a, self.c = base, a, c
+        self.ac, self.aoc = a * c, a / c
+        # every row runs the base law itself (k = 1, or identical laws)
+        self.plain = bool(np.all(a == 1.0) and np.all(c == 1.0))
+
+    @classmethod
+    def of(cls, fams) -> "LawStack":
+        """The laws of a list of families, one (k, 1) block per family."""
+        base, k = fams[0].base, fams[0].k
+        if any(f.base != base or f.k != k for f in fams):
+            raise ValueError("stacked families must share one base law and "
+                             "species count")
+        ac = np.array([[f._scale(i) for i in range(1, k + 1)] for f in fams])
+        return cls(base, ac[:, :, :1], ac[:, :, 1:])
+
+    def take(self, rows) -> "LawStack":
+        """The laws of the given rows of the stack."""
+        return LawStack(self.base, self.a[rows], self.c[rows])
+
+    def f(self, S):
+        if self.plain:
+            return self.base.g(S)
+        return self.a * self.base.g(self.c * S)
+
+    def df(self, S):
+        if self.plain:
+            return self.base.dg(S)
+        return self.ac * self.base.dg(self.c * S)
+
+    def F(self, S):
+        if self.plain:
+            return self.base.G(S)
+        return self.aoc * self.base.G(self.c * S)
 
 
 @dataclass(frozen=True)

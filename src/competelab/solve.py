@@ -1,7 +1,9 @@
 """Projected truncated Newton descent, partition descent, and continuation.
 
 Both minimizers take one kind of step (``_projected_step``) along a
-search direction d; they differ in the direction.
+search direction d; they differ in the direction.  The step, like the
+free minimizer's Newton direction, works on a stack of rows, each with
+its own energy, direction and scalars.
 
 The free minimizer takes an inexact projected Newton direction
 (Bertsekas 1982).  Nodes held by a bound (at 0 with a positive gradient,
@@ -51,6 +53,15 @@ density keeps the node, ties go to the lowest index), so its output has
 pairwise disjoint supports by construction; a flat or underflowing
 species keeps its density, and the solve stops when no species moves or
 the total energy has stalled for STALL_WINDOW iterations.
+
+The free minimizer advances a list of systems on one mask as one
+(m, k, n) stack (``minimize_free_many``; ``minimize_free`` is its
+one-system case).  Each system keeps its own scalars: lam, species laws,
+kappa, CG coefficients and stop, line-search t and stop reason.  So it
+takes exactly the iterates it would take alone, and it leaves the stack
+when its solve stops; the systems share only the numpy calls, whose
+per-call cost dominates on small masks.  The partition minimizer steps
+its species as the rows of one stack in the same way.
 
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer.
@@ -143,14 +154,16 @@ def alive_flags(sys: SpeciesSystem) -> list:
             for f, beta in zip(sys.fields, sys.fam.betas)]
 
 
-def _projected_residual(U, grad, betas):
-    """Sup norm of the box-projected first-order optimality residual."""
-    res = grad.copy()
-    at_lo = U <= 0.0
-    res[at_lo] = np.minimum(grad[at_lo], 0.0)
-    at_hi = U >= betas[:, None]
-    res[at_hi] = np.maximum(grad[at_hi], 0.0)
-    return float(np.max(np.abs(res))) if res.size else 0.0
+def _free_set(U, grad, caps):
+    """Nodes not held by a bound (held: at 0 with grad > 0, at the cap with
+    grad < 0)."""
+    return ~(((U <= 0.0) & (grad > 0)) | ((U >= caps) & (grad < 0)))
+
+
+def _projected_residual(U, grad, caps):
+    """Sup norm of the box-projected first-order optimality residual: the
+    largest |grad| on the free set."""
+    return float(np.max(np.abs(np.where(_free_set(U, grad, caps), grad, 0.0))))
 
 
 def _h1_shifts(fam, lam, h2):
@@ -163,10 +176,10 @@ def _h1_shifts(fam, lam, h2):
     return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
 
 
-def _total(x: np.ndarray) -> float:
-    """Sum of all entries of a contiguous array: the pairwise sum of
-    ``np.sum`` without its per-call dispatch."""
-    return float(np.add.reduce(x.ravel()))
+def _rowsum(X: np.ndarray) -> np.ndarray:
+    """Sum of the entries of each row of a contiguous (m, ...) stack: for
+    each row, the pairwise sum ``np.add.reduce`` gives that row alone."""
+    return np.add.reduce(X.reshape(len(X), -1), axis=1)
 
 
 def _clip(x: np.ndarray, cap) -> np.ndarray:
@@ -176,142 +189,273 @@ def _clip(x: np.ndarray, cap) -> np.ndarray:
 
 
 def _newton_direction(obj, box, U, grad, caps, shifts):
-    """Truncated Newton direction on the free set, and its CG step count.
+    """Truncated Newton directions for the rows of an (m, k, n) stack.
 
-    The free set drops the nodes held by a bound: at 0 with grad > 0 and
-    at the cap with grad < 0.  On it, conjugate gradients from zero solve
-    H d = -grad for the Hessian H of ``obj`` at U, preconditioned by h^2
-    times the box solve with the H^1 shifts, until the residual falls
-    below NEWTON_CG_TOL times its start or NEWTON_CG_MAXITER steps are
-    taken.  H is built once per direction (``Objective.hessian``), so a
-    CG step costs one box solve, one Hessian application and a few
-    reductions.  A direction p with p.(H p) <= 0 ends the solve with the
-    iterate so far (Steihaug); at the first step there is none, and the
-    direction is None.
+    For each row, the free set drops the nodes held by a bound: at 0 with
+    grad > 0 and at the cap with grad < 0.  On it, conjugate gradients
+    from zero solve H d = -grad for the Hessian H of ``obj`` at U,
+    preconditioned by h^2 times the box solve with the row's H^1
+    ``shifts``, until the residual falls below NEWTON_CG_TOL times its
+    start or NEWTON_CG_MAXITER steps are taken.  H is built once per
+    direction (``Objective.hessian``), so a CG step costs one box solve,
+    one Hessian application and a few reductions for all rows at once.  A
+    direction p with p.(H p) <= 0 ends a row's solve with its iterate so
+    far (Steihaug); at the first step there is none, and the row is
+    flagged.  Every row keeps its own CG scalars, so it takes the steps
+    it would take alone, and leaves the stack when its solve ends.
+
+    Returns (D, cg, flagged, resnorm): the directions (zero on flagged
+    rows), and per row its CG step count, whether it is flagged, and its
+    projected residual, the largest |grad| on its free set.
     """
-    free = ~(((U <= 0.0) & (grad > 0)) | ((U >= caps) & (grad < 0)))
-    hess = obj.hessian(U)
-
-    def precond(R):
-        return np.where(free, obj.h2 * box.solve(R, shifts), 0.0)
-
-    D = np.zeros_like(U)
+    m = len(U)
+    free = _free_set(U, grad, caps)
     R = np.where(free, -grad, 0.0)
-    rr = _total(R * R)
+    resnorm = np.abs(R).reshape(m, -1).max(axis=1).tolist()
+    hess = obj.hessian(U)
+    D = np.zeros_like(U)
+    cg, flagged = [0] * m, [False] * m
+    rr = _rowsum(R * R)
     stop = NEWTON_CG_TOL ** 2 * rr
-    P = rz = None
-    it = 0
-    while rr > stop and it < NEWTON_CG_MAXITER:
-        Z = precond(R)
-        rz_new = _total(R * Z)
-        P = Z if P is None else Z + (rz_new / rz) * P
+    going = (rr > stop).tolist()
+    rows = list(range(m))   # the rows still iterating; Dr holds their D
+    Dr, P, rz, it = D, None, None, 0
+    while True:
+        if not all(going):   # rows whose solve has ended leave the stack
+            keep = [j for j, g in enumerate(going) if g]
+            for j, g in enumerate(going):
+                if not g:
+                    cg[rows[j]] = it
+                    if Dr is not D:
+                        D[rows[j]] = Dr[j]
+            if not keep:
+                return D, cg, flagged, resnorm
+            rows = [rows[j] for j in keep]
+            Dr, R, free, stop, shifts = (
+                x[keep] for x in (Dr, R, free, stop, shifts))
+            hess = hess.take(keep)
+            if P is not None:
+                P, rz = P[keep], rz[keep]
+        if it == NEWTON_CG_MAXITER:
+            break
+        Z = np.where(free, obj.h2 * box.solve(R, shifts), 0.0)
+        rz_new = _rowsum(R * Z)
+        P = Z if P is None else Z + (rz_new / rz)[:, None, None] * P
         rz = rz_new
         it += 1
         HP = np.where(free, hess(P), 0.0)
-        curv = _total(P * HP)
-        if curv <= 0.0:
-            return (D if it > 1 else None), it
-        alpha = rz / curv
-        D += alpha * P
-        R -= alpha * HP
-        rr = _total(R * R)
-    return D, it
+        curv = _rowsum(P * HP)
+        nonpos = curv <= 0.0
+        if not any(nonpos.tolist()):
+            alpha = (rz / curv)[:, None, None]
+            Dr += alpha * P
+            R -= alpha * HP
+            going = (_rowsum(R * R) > stop).tolist()
+            continue
+        # rows with p.(H p) <= 0 keep their D as it is, and stop
+        if it == 1:
+            for j, x in enumerate(nonpos.tolist()):
+                flagged[rows[j]] = x
+        alpha = (rz / np.where(nonpos, 1.0, curv))[:, None, None]
+        step = ~nonpos[:, None, None]
+        np.add(Dr, alpha * P, out=Dr, where=step)
+        np.subtract(R, alpha * HP, out=R, where=step)
+        going = (~nonpos & (_rowsum(R * R) > stop)).tolist()
+    for j, b in enumerate(rows):
+        cg[b] = it
+    if Dr is not D:
+        D[rows] = Dr
+    return D, cg, flagged, resnorm
 
 
-def _projected_step(value, U, E, grad, D, cap, h2, null_ok=False):
-    """One box-projected Armijo step from U at energy E.
+# How a row's projected step ended: a step taken, a null step, no trial passed.
+STEP, FLAT, UNDERFLOW = 0, 1, 2
 
-    Tries the search direction D from t = 1, halving t, and accepts
-    clip(U + t D) once the energy falls by ARMIJO_C times the linear
-    model h^2 * sum(grad * (U_new - U)) < 0.  When t passes
-    PRECOND_FLOOR without an accepted trial the step underflows.
 
-    With ``null_ok`` a flat unit trial, whose model lies in
-    (-TOL_ENERGY * max(1, |E|), 0], is a null step: even the full step
-    predicts a drop below the stall test's threshold, so nothing is
-    evaluated and U is returned as it is.  A positive model, where the
-    projection blocks descent, is never flat.
+def _projected_step(obj, U, E, grad, D, caps, null_ok):
+    """One box-projected Armijo step from each row of the stack U at its
+    energy E (one per row).
 
-    Returns (U_new, E_new, L @ U_new, how), where ``how`` is "precond"
-    for the step taken, "flat" for a null step (U_new is U, L @ U_new is
-    None) and "underflow" when no trial passed (U_new is None).
+    For each row, tries the search direction D from t = 1, halving t, and
+    accepts clip(U + t D) once the energy falls by ARMIJO_C times the
+    linear model h^2 * sum(grad * (U_new - U)) < 0.  When t passes
+    PRECOND_FLOOR without an accepted trial the step underflows.  The
+    rows still searching share t and one ``obj.value`` call per trial.
+
+    Where ``null_ok`` holds (a flag per row), a flat unit trial, whose
+    model lies in (-TOL_ENERGY * max(1, |E|), 0], is a null step: even the
+    full step predicts a drop below the stall test's threshold, so nothing
+    is evaluated.  A positive model, where the projection blocks descent,
+    is never flat.
+
+    Returns (U_new, E_new, LU_new, how, evals).  Per row, ``how`` is STEP,
+    FLAT or UNDERFLOW and ``evals`` counts its energy evaluations; U_new,
+    E_new and LU_new = L @ U_new hold values on the STEP rows only (U_new
+    is None when no row stepped).
     """
+    m = len(U)
+    E = np.asarray(E)
+    Es = E.tolist()
+    how, evals = [UNDERFLOW] * m, [0] * m
+    U_new = E_new = LU_new = None
+    pend = list(range(m))   # the rows still searching
     t = 1.0
     while t >= PRECOND_FLOOR:
-        U_new = _clip(U + t * D, cap)
-        model = h2 * _total(grad * (U_new - U))
-        if (null_ok and t == 1.0
-                and -TOL_ENERGY * max(1.0, abs(E)) < model <= 0):
-            return U, E, None, "flat"
-        if model < 0:
-            E_new, LU = value(U_new)
-            if E_new <= E + ARMIJO_C * model:
-                return U_new, E_new, LU, "precond"
+        Up, Dp, gp, cp = (U, D, grad, caps) if len(pend) == m else (
+            x[pend] for x in (U, D, grad, caps))
+        trial = _clip(Up + t * Dp, cp)
+        models = [obj.h2 * x for x in _rowsum(gp * (trial - Up)).tolist()]
+        tries = []
+        for j, (r, model) in enumerate(zip(pend, models)):
+            if (t == 1.0 and null_ok[r]
+                    and -TOL_ENERGY * max(1.0, abs(Es[r])) < model <= 0):
+                how[r] = FLAT
+            elif model < 0:
+                tries.append(j)
+        if tries:
+            rows = [pend[j] for j in tries]
+            if len(tries) < len(pend):
+                trial = trial[tries]
+            Et, LUt = (obj if len(rows) == m else obj.take(rows)).value(trial)
+            ok = []
+            for i, (j, r, e) in enumerate(zip(tries, rows, Et.tolist())):
+                evals[r] += 1
+                if e <= Es[r] + ARMIJO_C * models[j]:
+                    how[r] = STEP
+                    ok.append(i)
+            if len(ok) == m:   # every row steps at once
+                return trial, Et, LUt, how, evals
+            if ok:
+                if U_new is None:
+                    U_new, LU_new = np.empty_like(U), np.empty_like(U)
+                    E_new = E.copy()
+                acc = [rows[i] for i in ok]
+                U_new[acc], E_new[acc], LU_new[acc] = trial[ok], Et[ok], LUt[ok]
+        pend = [r for r in pend if how[r] == UNDERFLOW]
+        if not pend:
+            break
         t *= ARMIJO_SHRINK
-    return None, E, None, "underflow"
+    return U_new, E_new, LU_new, how, evals
+
+
+def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
+    """Projected truncated Newton descent on the full coupled energy of
+    each of a list of systems, advanced as one (m, k, n) stack.
+
+    The systems share one mask, species count and base law, and the
+    coupled ones (kappa > 0) one coupling.  Each keeps its own scalars:
+    lam, species scales, kappa, CG coefficients and stop, line-search t
+    and stop reason.  So each result is, bit for bit, the one its system
+    gets alone; the systems share only the numpy calls, and a system
+    leaves the stack when its solve stops.  The batch's wall time is split
+    over the solves in proportion to their iterations, and a result's
+    ``seconds`` is its share.
+
+    Returns one MinimizeResult per system, in order, or for a system whose
+    initial energy is not finite the ValueError that fails it alone.
+    """
+    t0 = time.perf_counter()
+    systems = list(systems)
+    labels = ["custom"] * len(systems) if labels is None else list(labels)
+    # The coupled systems go first, so they stay a leading slice of the
+    # stack as it shrinks (``Objective.many``).
+    order = sorted(range(len(systems)), key=lambda b: not systems[b].coupled)
+    ordered = [systems[b] for b in order]
+    obj = Objective.many(ordered)
+    box = _ops(obj.mask).box_solver()
+    h2 = obj.h2
+    caps = np.stack([s.fam.betas for s in ordered])[:, :, None]
+    shifts = np.array([_h1_shifts(s.fam, s.lam, h2) for s in ordered])
+    tol_res = [cfg.tol_residual if cfg.tol_residual is not None
+               else 1e-6 * s.lam for s in ordered]
+    U = np.clip(np.stack([s.stacked() for s in ordered]), 0.0, caps)
+    E, LU = obj.value(U)
+
+    B = len(systems)
+    rows = list(range(B))   # the systems still iterating, by stack row
+    evals, cg_iters, iters = [1] * B, [0] * B, [0] * B
+    residual, converged = [np.inf] * B, [False] * B
+    stop_reason, finals = ["max_iters"] * B, [None] * B
+    steps = [(rows, E)]   # the rows and energies of accepted iterates
+
+    def shrink(keep):
+        nonlocal rows, obj, U, E, LU, caps, shifts, tol_res
+        rows, tol_res = [rows[j] for j in keep], [tol_res[j] for j in keep]
+        U, E, LU, caps, shifts = (x[keep] for x in (U, E, LU, caps, shifts))
+        obj = obj.take(keep)
+
+    finite = np.isfinite(E).tolist()
+    if not all(finite):
+        shrink([j for j, ok in enumerate(finite) if ok])
+    it = 0
+    while rows and it < cfg.max_iters:
+        it += 1
+        grad = obj.grad(U, LU)
+        D, cg, flagged, resnorm = _newton_direction(obj, box, U, grad, caps,
+                                                    shifts)
+        if any(flagged):   # negative curvature at once: the H^1 direction
+            f = [j for j, x in enumerate(flagged) if x]
+            D[f] = -h2 * box.solve(grad[f], shifts[f])
+        # A null step repeats forever, so it ends a solve at once; above the
+        # residual tolerance it is not allowed, or it would spin.
+        small = [r <= tol for r, tol in zip(resnorm, tol_res)]
+        U_new, E_new, LU_new, how, ev = _projected_step(
+            obj, U, E, grad, D, caps, null_ok=small)
+        keep = []
+        for j, b in enumerate(rows):
+            cg_iters[b] += cg[j]
+            evals[b] += ev[j]
+            residual[b] = resnorm[j]
+            if how[j] == STEP:
+                keep.append(j)
+            else:
+                iters[b], finals[b] = it, U[j]
+                converged[b] = how[j] == FLAT or small[j]
+                stop_reason[b] = ("residual" if how[j] == FLAT
+                                  else "step_underflow")
+        if not keep:
+            rows = []
+            break
+        U, E, LU = U_new, E_new, LU_new
+        if len(keep) < len(rows):
+            shrink(keep)
+        steps.append((rows, E))
+    for j, b in enumerate(rows):   # these ran out of iterations
+        iters[b], finals[b] = it, U[j]
+
+    energies = [[] for _ in range(B)]
+    for step_rows, step_E in steps:
+        for b, e in zip(step_rows, step_E.tolist()):
+            energies[b].append(e)
+    out = [None] * B
+    for b, sys0 in enumerate(ordered):
+        if finals[b] is None:
+            out[order[b]] = ValueError(
+                "non-finite energy at the initial iterate")
+            continue
+        final = sys0.replace_values(finals[b])
+        out[order[b]] = MinimizeResult(
+            system=final, report=energy_total(final), iters=iters[b],
+            converged=converged[b], alive=alive_flags(final),
+            start_label=labels[order[b]], residual=residual[b],
+            energies=np.array(energies[b]), stop_reason=stop_reason[b],
+            evals=evals[b], cg_iters=cg_iters[b])
+    wall = time.perf_counter() - t0
+    total_iters = sum(iters)
+    for res in out:
+        if isinstance(res, MinimizeResult):
+            res.seconds = wall * res.iters / total_iters
+    return out
 
 
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                   start_label: str = "custom") -> MinimizeResult:
-    """Projected truncated Newton descent on the full coupled energy."""
-    t0 = time.perf_counter()
-    box = _ops(sys0.mask).box_solver()
-    obj = Objective.of(sys0)
-    h2, fam, lam = obj.h2, sys0.fam, sys0.lam
-    betas = fam.betas
-    caps = betas[:, None]
-    tol_res = cfg.tol_residual if cfg.tol_residual is not None else 1e-6 * lam
-    shifts = _h1_shifts(fam, lam, h2)
-
-    evals = 0
-
-    def value(V):
-        nonlocal evals
-        evals += 1
-        return obj.value(V)
-
-    U = np.clip(sys0.stacked(), 0.0, caps)
-    E, LU = value(U)
-    if not np.isfinite(E):
-        raise ValueError("non-finite energy at the initial iterate")
-
-    energies = [E]
-    cg_iters = 0
-    converged = False
-    stop_reason = "max_iters"
-    resnorm = np.inf
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        grad = obj.grad(U, LU)
-        resnorm = _projected_residual(U, grad, betas)
-        D, cg = _newton_direction(obj, box, U, grad, caps, shifts)
-        cg_iters += cg
-        if D is None:   # negative curvature at once: the H^1 direction
-            D = -h2 * box.solve(grad, shifts)
-        # A null step repeats forever, so it ends the solve at once; above
-        # the residual tolerance it is not allowed, or it would spin.
-        U_new, E_new, LU_new, how = _projected_step(
-            value, U, E, grad, D, caps, h2, null_ok=resnorm <= tol_res)
-        if how == "flat":
-            converged = True
-            stop_reason = "residual"
-            break
-        if how == "underflow":
-            converged = resnorm <= tol_res
-            stop_reason = "step_underflow"
-            break
-
-        U, E, LU = U_new, E_new, LU_new
-        energies.append(E)
-
-    final = sys0.replace_values(U)
-    report = energy_total(final)
-    return MinimizeResult(system=final, report=report, iters=it,
-                          converged=converged, alive=alive_flags(final),
-                          start_label=start_label, residual=resnorm,
-                          energies=np.array(energies), stop_reason=stop_reason,
-                          evals=evals, cg_iters=cg_iters,
-                          seconds=time.perf_counter() - t0)
+    """Projected truncated Newton descent on the full coupled energy: the
+    one-system case of ``minimize_free_many``."""
+    res, = minimize_free_many([sys0], cfg, [start_label])
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -510,25 +654,18 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     """
     t0 = time.perf_counter()
     box = _ops(sys0.mask).box_solver()
-    obj = Objective(sys0.mask, sys0.fam, sys0.lam)   # no coupling
+    # Row i of this objective is species i alone, a (1, n) stack: its
+    # energy is J_i, and there is no coupling.
+    obj = Objective(sys0.mask, sys0.fam, sys0.lam).per_species()
     h2, fam, lam = obj.h2, sys0.fam, sys0.lam
     betas = fam.betas
     k = fam.k
-
-    evals = 0
-
-    def species_value(v, i):
-        nonlocal evals
-        evals += 1
-        return obj.species(v, i)
-
-    def energies_of(V):
-        """Per-species energies of V and the product L @ V."""
-        parts = [species_value(V[i], i) for i in range(k)]
-        return np.array([e for e, _ in parts]), np.stack([Lv for _, Lv in parts])
+    caps = betas[:, None, None]
+    every = [True] * k
 
     U = segregation_projection(np.clip(sys0.stacked(), 0.0, betas[:, None]))
-    Es, LU = energies_of(U)
+    Es, LU = obj.value(U[:, None])   # per-species energies, L @ U
+    evals = k
     E = float(Es.sum())
     if not np.isfinite(E):
         raise ValueError("non-finite energy at the initial iterate")
@@ -540,24 +677,21 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = obj.grad(U, LU)
+        grad = obj.grad(U[:, None], LU)
         D = -h2 * box.solve(grad, shifts)
-        moved = flat = 0
-        for i in range(k):
-            value = lambda v, i=i: species_value(v, i)
-            v_new, _, _, how = _projected_step(
-                value, U[i], Es[i], grad[i], D[i], betas[i], h2, null_ok=True)
-            flat += how == "flat"
-            if how == "precond":
-                U[i] = v_new
-                moved += 1
+        U_new, _, _, how, ev = _projected_step(obj, U[:, None], Es, grad, D,
+                                               caps, null_ok=every)
+        evals += sum(ev)
+        moved = [i for i, x in enumerate(how) if x == STEP]
         if not moved:   # U is unchanged, so every later iteration repeats
-            converged = flat == k
+            converged = how.count(FLAT) == k
             stop_reason = "stall" if converged else "step_underflow"
             break
 
+        U[moved] = U_new[moved, 0]
         U = segregation_projection(U)
-        Es, LU = energies_of(U)
+        Es, LU = obj.value(U[:, None])
+        evals += k
         E_new = float(Es.sum())
         stall = stall + 1 if abs(E - E_new) < TOL_ENERGY * max(1.0, abs(E)) else 0
         E = E_new
@@ -569,11 +703,11 @@ def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
 
     final = sys0.replace_values(U)
     report = energy_total(final)
-    grad = obj.grad(U, LU)
+    grad = obj.grad(U[:, None], LU)[:, 0]
     return MinimizeResult(system=final, report=report, iters=it,
                           converged=converged, alive=alive_flags(final),
                           start_label=start_label,
-                          residual=_projected_residual(U, grad, betas),
+                          residual=_projected_residual(U, grad, betas[:, None]),
                           energies=np.array(energies), stop_reason=stop_reason,
                           evals=evals, seconds=time.perf_counter() - t0)
 

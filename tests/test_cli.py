@@ -299,6 +299,12 @@ class TestVerifyCommand:
         assert "lambda1" in out and "PASS" in out
         assert (tmp_path / "eig" / "eig.json").exists()
 
+    def test_eig_prints_each_value_once(self, tmp_path, capsys):
+        assert main(["verify", "eig", "--out", str(tmp_path / "eig")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("lambda1") == 1
+        assert out.count("reference") == 1
+
     def test_eig_custom_reference_fail_path(self, tmp_path):
         cfg = {"domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
                           "h": 1 / 16},
@@ -461,14 +467,15 @@ class TestSweepCommand:
 
     @staticmethod
     def fail_solves(monkeypatch, **at):
-        """Make every free solve whose system has the ``at`` values raise."""
-        solve = lab.minimize_free
+        """Make every free solve whose system has the ``at`` values fail."""
+        solve = lab.minimize_free_many
 
-        def failing(sys, *args, **kwargs):
-            if all(getattr(sys, name) == value for name, value in at.items()):
-                raise RuntimeError(f"solve failed at {at}")
-            return solve(sys, *args, **kwargs)
-        monkeypatch.setattr(lab, "minimize_free", failing)
+        def failing(systems, *args, **kwargs):
+            results = solve(systems, *args, **kwargs)
+            return [RuntimeError(f"solve failed at {at}")
+                    if all(getattr(sys, key) == v for key, v in at.items())
+                    else res for sys, res in zip(systems, results)]
+        monkeypatch.setattr(lab, "minimize_free_many", failing)
 
     def test_partial_completion_exits_2(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "sw")
@@ -618,6 +625,42 @@ class TestSweepCommand:
             again = fh.readlines()
         strip = lambda lines: [",".join(x.split(",")[:17]) for x in lines]
         assert strip(again) == strip(full)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1_without_output(self, tmp_path, capsys, jobs):
+        out = str(tmp_path / "sw")
+        path = write_config(tmp_path, "s.json", self.sweep_config(out))
+        assert main(["sweep", "--config", path, "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_pool_starts_one_worker_per_task(self, tmp_path, monkeypatch):
+        # Two (lam, eps) groups make two tasks, so --jobs 8 starts two
+        # workers.  The pool here runs each task at once, in this process.
+        import concurrent.futures
+        started = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        out = str(tmp_path / "sw")
+        path = write_config(tmp_path, "s.json", self.sweep_config(out))
+        assert main(["sweep", "--config", path, "--jobs", "8", "--quiet"]) == 0
+        assert started == [2]
+        with open(out + "/results.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 4
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         out_a = str(tmp_path / "ser")

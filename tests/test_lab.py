@@ -256,6 +256,21 @@ class TestRecords:
         assert back[0].total == rec.total
         assert back[0].coordinate_key() == rec.coordinate_key()
 
+    def test_wall_time_cell_has_a_fixed_width(self, tmp_path):
+        mask = build_rectangle(1, 1, 1 / 8)
+        res = fake_result(mask, np.zeros(mask.n_interior))
+        col = lab.CSV_COLUMNS.index("wall_time")
+        rec = lab.record_from_result("smoke", mask, res, 0, 0.123456789)
+        assert rec.to_row()[col] == "1.234568e-01"
+        assert rec.wall_time == 0.1234568
+        for t in (3e-7, 0.5, 2.0, 12345.678):
+            cell = lab.record_from_result("smoke", mask, res, 0, t).to_row()[col]
+            assert len(cell) == 12 and float(cell) == pytest.approx(t, rel=1e-6)
+        path = tmp_path / "records.csv"
+        lab.write_records_csv([rec], path)
+        assert lab.read_records_csv(path) == [rec]
+        assert lab.read_records_csv(path)[0].to_row() == rec.to_row()
+
     def test_repeated_verify_keeps_one_record_file(self, tmp_path):
         for _ in range(3):
             lab.write_verdict(lab.verify_wedge_bound(2.0, 100.0, 1 / 24), tmp_path)
@@ -328,12 +343,12 @@ class TestSweep:
             lam_grid=[60.0, 140.0], kappa_grid=[0.0, 200.0], eps_grid=[0.4],
             solver=SolverConfig(restarts=0), outdir=str(tmp_path / "sweep"))
         solves = []
-        solve = lab.minimize_free
+        solve = lab.minimize_free_many
 
-        def counted(sys0, cfg, label):
-            solves.append(label)
-            return solve(sys0, cfg, label)
-        monkeypatch.setattr(lab, "minimize_free", counted)
+        def counted(systems, cfg, labels):
+            solves.extend(labels)
+            return solve(systems, cfg, labels)
+        monkeypatch.setattr(lab, "minimize_free_many", counted)
         out = lab.run_sweep(spec, log=lambda *_: None)
         assert out["completed"] == 4
         # per group: single and single-2 once, seeded and uniform per kappa
@@ -357,6 +372,40 @@ class TestSweep:
                 for name in ("dirichlet", "potential", "interaction", "total",
                              "overlap"):
                     assert getattr(rec, name) == getattr(want, name)
+
+    def test_tasks_are_runs_of_whole_groups(self):
+        groups = [(float(i), (0.4,), [0.0]) for i in range(12)]
+        for sizes in ([8820] * 12, [100] * 12, [40000] * 12,
+                      [5000, 30000, 100, 9000, 2, 33000, 1, 1, 1, 1, 7, 1]):
+            for jobs in (1, 2, 3, 8, 20):
+                tasks = lab.sweep_tasks(groups, sizes, jobs)
+                assert [g for task in tasks for g in task] == groups
+                assert len(tasks) >= min(jobs, len(groups))
+                for task in tasks:
+                    assert len(task) == 1 or sum(
+                        sizes[int(g[0])] for g in task) <= lab.BATCH_VALUES
+        # the benchmark's disc sweep: 12 groups of 10 systems x 2 x 441 nodes
+        size = lab._group_values(2, 0, [0.0, 50.0, 200.0, 800.0], 441)
+        assert size == 8820
+        assert [len(t) for t in lab.sweep_tasks(groups, [size] * 12, 2)] == [3] * 4
+
+    def test_operator_caches_stay_bounded(self, tmp_path, monkeypatch):
+        # One task solves four groups (32 systems of 2 species, stacks of up
+        # to 64 rows) as a shrinking batch; the stencil's and the box
+        # solve's flat-index caches keep only stacks of at most 4 rows.
+        masks, build = [], lab.build_domain
+        monkeypatch.setattr(lab, "build_domain",
+                            lambda spec: masks.append(build(spec)) or masks[-1])
+        spec = lab.SweepSpec(
+            domain={"kind": "disc", "radius": 1.0, "h": 1 / 12}, k=2,
+            lam_grid=[60.0, 140.0], kappa_grid=[0.0, 200.0, 800.0],
+            eps_grid=[0.4, 0.6], solver=SolverConfig(restarts=0),
+            outdir=str(tmp_path / "sweep"))
+        assert lab.run_sweep(spec, log=lambda *_: None)["completed"] == 12
+        used = [m._ops for m in masks if m._ops is not None]
+        assert len(used) == 1
+        for cache in (used[0]._gather, used[0].box_solver()._scatter):
+            assert cache and max(cache) <= 4
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -10,12 +10,12 @@ from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
                                  build_wedge)
 from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
-from competelab.solve import (SolverConfig, _distance_to_boundary, _h1_shifts,
-                              _newton_direction, _projected_step, alive_flags,
-                              default_initializers, kappa_continuation,
-                              merged_system, minimize_free,
-                              minimize_multistart, minimize_partition,
-                              segregation_projection)
+from competelab.solve import (STEP, SolverConfig, _distance_to_boundary,
+                              _h1_shifts, _newton_direction, _projected_step,
+                              alive_flags, default_initializers,
+                              kappa_continuation, merged_system, minimize_free,
+                              minimize_free_many, minimize_multistart,
+                              minimize_partition, segregation_projection)
 
 
 def single_fam():
@@ -247,13 +247,17 @@ class TestNewtonStep:
         E, LU = obj.value(U)
         grad = obj.grad(U, LU)
         shifts = _h1_shifts(fam, lam, h2)
-        assert _newton_direction(obj, box, U, grad, caps, shifts) == (None, 1)
+        _, cg, flagged, _ = _newton_direction(obj, box, U[None], grad[None],
+                                              caps[None], np.array([shifts]))
+        assert cg == [1] and flagged == [True]
         D = -h2 * box.solve(grad, shifts)
-        U_h1, E_h1, _, how = _projected_step(obj.value, U, E, grad, D, caps, h2)
-        assert how == "precond"
+        U_h1, E_h1, _, how, _ = _projected_step(
+            obj, U[None], np.array([E]), grad[None], D[None], caps[None],
+            null_ok=[False])
+        assert how == [STEP]
         res = minimize_free(sys0, SolverConfig(max_iters=1))
-        assert np.array_equal(res.system.stacked(), U_h1)
-        assert res.energies[-1] == E_h1
+        assert np.array_equal(res.system.stacked(), U_h1[0])
+        assert res.energies[-1] == E_h1[0]
         assert res.cg_iters == 1
 
     def test_partition_takes_no_cg_steps(self):
@@ -332,6 +336,80 @@ class TestLoneStarts:
                 assert np.all(res.system.stacked()[absent] == 0.0)
                 assert res.iters == ref.iters
                 assert abs(res.energy - ref.energy) <= 1e-13 * abs(ref.energy)
+
+
+def sweep_group_systems(mask, base, coupling, lam, eps, kappas, cfg):
+    """The systems a sweep solves for one (lam, eps) group: each lone start
+    once at kappa 0, every other start at each kappa."""
+    fam = ScaledFamily(base=base, k=2, eps=(eps,))
+    starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
+    lone = [np.count_nonzero(s.stacked().any(axis=1)) <= 1 for _, s in starts]
+    systems = [(label, s) for (label, s), one in zip(starts, lone) if one]
+    for kappa in kappas:
+        systems += [(label, SpeciesSystem(s.fields, fam, coupling, lam, kappa))
+                    for (label, s), one in zip(starts, lone) if not one]
+    return systems
+
+
+class TestBatch:
+    """``minimize_free_many`` advances many systems as one stack; each gets
+    exactly the solve it gets alone."""
+
+    def test_two_sweep_groups_equal_the_single_solves(self):
+        # Two (lam, eps) groups of the benchmark's disc sweep (r = 1,
+        # h = 1/12, kappas 0 / 50 / 200 / 800), 20 systems in one batch.
+        cfg = SolverConfig(restarts=0)
+        mask, base = build_disc(1.0, 1 / 12), logistic()
+        coupling = coupling_quartic(2)
+        systems = []
+        for lam, eps in ((100.0, 0.4), (140.0, 0.2)):
+            systems += sweep_group_systems(mask, base, coupling, lam, eps,
+                                           (0.0, 50.0, 200.0, 800.0), cfg)
+        labels = [label for label, _ in systems]
+        batch = minimize_free_many([s for _, s in systems], cfg, labels)
+        assert len(batch) == 20
+        for (label, sys0), got in zip(systems, batch):
+            want = minimize_free(sys0, cfg, label)
+            assert got.start_label == want.start_label
+            assert (got.iters, got.cg_iters, got.evals, got.stop_reason,
+                    got.converged) == (want.iters, want.cg_iters, want.evals,
+                                       want.stop_reason, want.converged)
+            assert repr(got.energy) == repr(want.energy)
+            assert repr(got.residual) == repr(want.residual)
+            assert np.array_equal(got.system.stacked(), want.system.stacked())
+            assert np.array_equal(got.energies, want.energies)
+            assert got.alive == want.alive
+        # the batch's wall time is shared out in proportion to iterations
+        per_iter = [r.seconds / r.iters for r in batch]
+        assert max(per_iter) == pytest.approx(min(per_iter), rel=1e-9)
+
+    def test_non_finite_start_fails_alone(self):
+        # The potential is NaN above 0.9: the uniform 0.95 start cannot
+        # begin, and the 0.5 start below lambda1 descends to 0 without
+        # meeting it.
+        good = logistic()
+        law = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
+                           G=lambda s: np.where(np.asarray(s) > 0.9, np.nan,
+                                                good.G(s)), dg=good.dg)
+        fam = ScaledFamily(base=law, k=1, eps=())
+        mask = build_rectangle(1, 1, 1 / 8)
+        start = lambda v: SpeciesSystem(
+            [DensityField(mask, np.full(mask.n_interior, v))], fam, None, 10.0)
+        cfg = SolverConfig(max_iters=200)
+        bad, ok = minimize_free_many([start(0.95), start(0.5)], cfg, ["bad", "ok"])
+        assert isinstance(bad, ValueError) and "non-finite" in str(bad)
+        want = minimize_free(start(0.5), cfg, "ok")
+        assert (ok.iters, ok.evals, ok.converged) == (want.iters, want.evals, True)
+        assert np.array_equal(ok.system.stacked(), want.system.stacked())
+        with pytest.raises(ValueError):
+            minimize_free(start(0.95), cfg)
+
+    def test_systems_must_share_a_mask(self):
+        cfg = SolverConfig(restarts=0)
+        one = zero_system(build_rectangle(1, 1, 1 / 8), single_fam(), 10.0)
+        two = zero_system(build_rectangle(1, 1, 1 / 8), single_fam(), 10.0)
+        with pytest.raises(ValueError):
+            minimize_free_many([one, two], cfg)
 
 
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
