@@ -200,7 +200,8 @@ def _dump_fields(result, outdir):
 
 def cmd_minimize(args, partition: bool = False) -> int:
     cfg, solver, outdir = read_config(args, _RUN_KEYS, "run config")
-    norm = normalize_run_config(cfg)
+    # config.json records the directory the run is written to
+    norm = normalize_run_config({**cfg, "out": outdir})
     mask = lab.build_domain(norm["domain"])
     k = norm["k"]
     fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),

@@ -177,10 +177,6 @@ class DensityField:
     def zeros(cls, mask: DomainMask) -> "DensityField":
         return cls(mask, np.zeros(mask.n_interior))
 
-    @classmethod
-    def from_function(cls, mask: DomainMask, fn) -> "DensityField":
-        return cls(mask, np.asarray(fn(mask.xs, mask.ys), dtype=float))
-
     def copy(self) -> "DensityField":
         return DensityField(self.mask, self.values.copy())
 
@@ -334,14 +330,21 @@ class Objective:
                  int(np.searchsorted(rows, self.n_coupled)))
         return obj
 
-    def per_species(self) -> "Objective":
-        """One system's species as the rows of an uncoupled stack: row i is
-        species i alone, a (1, n) stack whose energy is J_i."""
-        k = self.laws.a.shape[1]
-        laws = LawStack(self.laws.base, self.laws.a.reshape(k, 1, 1),
-                        self.laws.c.reshape(k, 1, 1))
-        obj = Objective.__new__(Objective)
-        obj._set(self.mask, laws, np.repeat(self.lams, k), None, np.zeros(k), 0)
+    @classmethod
+    def species_of(cls, systems) -> "Objective":
+        """The species of a list of systems on one mask as the rows of one
+        uncoupled stack: row b k + i is species i of system b alone, a
+        (1, n) stack whose energy is J_i."""
+        mask = systems[0].mask
+        if any(s.mask is not mask for s in systems):
+            raise ValueError("stacked systems must share one mask")
+        laws = LawStack.of([s.fam for s in systems])
+        rows = laws.a.size
+        obj = cls.__new__(cls)
+        obj._set(mask, LawStack(laws.base, laws.a.reshape(rows, 1, 1),
+                                laws.c.reshape(rows, 1, 1)),
+                 np.repeat([s.lam for s in systems], laws.a.shape[1]), None,
+                 np.zeros(rows), 0)
         return obj
 
     def _coupled(self, fn, *stacks):
@@ -351,7 +354,11 @@ class Objective:
 
     def species(self, v: np.ndarray, i: int):
         """J-energy of species i (0-based) at v, with the product L @ v."""
-        E, Lv = self.per_species().take([i]).value(v[None, None])
+        obj = Objective.__new__(Objective)
+        obj._set(self.mask, LawStack(self.laws.base, self.laws.a[0, i],
+                                     self.laws.c[0, i]),
+                 self.lams[:1], None, np.zeros(1), 0)
+        E, Lv = obj.value(v[None, None])
         return float(E[0]), Lv[0, 0]
 
     def value(self, U: np.ndarray):

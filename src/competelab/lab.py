@@ -26,9 +26,10 @@ from .energy import (DensityField, SpeciesSystem, energy_total,
 from .geometry import (DomainMask, SPACE_DIM, build_disc, build_rectangle,
                        build_wedge)
 from .model import ScaledFamily, coupling_quartic, cutoff_phi, identical_family, logistic
-from .solve import (MinimizeResult, SolverConfig, default_initializers,
-                    kappa_continuation, merged_system, minimize_free_many,
-                    minimize_multistart, segregation_projection)
+from .solve import (MinimizeResult, SolverConfig, batch_runs,
+                    default_initializers, kappa_continuation, merged_system,
+                    minimize_free_many, minimize_multistart,
+                    segregation_projection)
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
@@ -610,13 +611,6 @@ class SweepSpec:
             yield float(lam), float(kappa), self._eps(eps)
 
 
-# The most stacked values (systems x species x nodes) one sweep task
-# solves in one batch.  A stacked numpy call's cost is mostly per-call
-# overhead below this size and grows linearly in it above (README,
-# "Command line"), so a larger batch saves no more.
-BATCH_VALUES = 2 ** 15
-
-
 def _group_values(k: int, restarts: int, kappas, nodes: int) -> int:
     """Stacked values of one (lam, eps) group's solves: its lone-species
     starts once, its other starts once per kappa.  (An upper bound: a
@@ -628,16 +622,10 @@ def _group_values(k: int, restarts: int, kappas, nodes: int) -> int:
 
 def sweep_tasks(groups, sizes, jobs: int) -> list:
     """Cut a sweep's groups, in grid order, into tasks: runs of whole
-    groups of at most BATCH_VALUES stacked values each (a larger group runs
-    alone), split further until there are at least min(jobs, groups)."""
-    tasks, used = [], 0
-    for group, size in zip(groups, sizes):
-        if tasks and used + size <= BATCH_VALUES:
-            tasks[-1].append(group)
-            used += size
-        else:
-            tasks.append([group])
-            used = size
+    groups of at most ``solve.BATCH_VALUES`` stacked values each (a larger
+    group runs alone, ``batch_runs``), split further until there are at
+    least min(jobs, groups)."""
+    tasks = [[groups[i] for i in run] for run in batch_runs(sizes)]
     while len(tasks) < min(jobs, len(groups)):
         i = max(range(len(tasks)), key=lambda t: len(tasks[t]))
         half = len(tasks[i]) // 2

@@ -60,11 +60,22 @@ one-system case).  Each system keeps its own scalars: lam, species laws,
 kappa, CG coefficients and stop, line-search t and stop reason.  So it
 takes exactly the iterates it would take alone, and it leaves the stack
 when its solve stops; the systems share only the numpy calls, whose
-per-call cost dominates on small masks.  The partition minimizer steps
-its species as the rows of one stack in the same way.
+per-call cost dominates on small masks.  The partition minimizer does
+the same with the m k species of m systems as the rows of one
+(m k, 1, n) stack (``minimize_partition_many``; ``minimize_partition``
+is its one-system case), each system with its own energy, stall counter
+and stop.  A multistart hands its starts to ``solve_starts``, which
+solves them in runs of at most BATCH_VALUES stacked values, one batched
+call per run (criterion 7's fine disc scan thus solves one start at a
+time).  A batch's wall time is split over its solves in proportion to
+their iterations, so a result's ``seconds`` is a measured share, not a
+timing of its own.  The records of ``minimize``, ``partition`` and
+``extinction`` starts and ``system2``'s partition record carry such
+shares, and a sweep point sums them.
 
 Continuation re-minimizes along an increasing competition schedule,
-warm-starting each rate from the previous minimizer.
+warm-starting each rate from the previous minimizer; each rate is one
+solve, timed alone.
 """
 
 from __future__ import annotations
@@ -608,108 +619,209 @@ def _seeded_copies(mask: DomainMask, fam: ScaledFamily, lam: float,
     return out
 
 
+# The most stacked values (systems x species x nodes) one batched solve
+# advances together.  A stacked numpy call's cost is mostly per-call
+# overhead below this size and grows linearly in it above (README,
+# "Command line"), so a larger batch saves no more.
+BATCH_VALUES = 2 ** 15
+
+
+def batch_runs(sizes) -> list:
+    """Cut items of the given stacked sizes, in order, into runs of
+    consecutive indices of at most BATCH_VALUES values each; an item larger
+    than that runs alone."""
+    runs, used = [], 0
+    for i, size in enumerate(sizes):
+        if runs and used + size <= BATCH_VALUES:
+            runs[-1].append(i)
+            used += size
+        else:
+            runs.append([i])
+            used = size
+    return runs
+
+
+def solve_starts(starts, cfg: SolverConfig, partition: bool = False) -> list:
+    """Solve labeled starting systems ``(label, system)`` on one mask, in
+    runs cut by ``batch_runs``, one ``minimize_free_many`` (or
+    ``minimize_partition_many``) call per run.
+
+    Returns one MinimizeResult per start, in order, or for a start whose
+    initial energy is not finite the ValueError that fails it alone.  A
+    result's ``seconds`` is its share of its run's wall time.
+    """
+    solver = minimize_partition_many if partition else minimize_free_many
+    labels = [label for label, _ in starts]
+    systems = [sys0 for _, sys0 in starts]
+    out = []
+    for run in batch_runs(s.k * s.mask.n_interior for s in systems):
+        out += solver([systems[i] for i in run], cfg, [labels[i] for i in run])
+    return out
+
+
 def minimize_multistart(mask: DomainMask, fam: ScaledFamily, lam: float,
                         coupling: Coupling | None = None, kappa: float = 0.0,
                         cfg: SolverConfig | None = None, partition: bool = False,
                         warn=None):
     """Run every initializer; return (best result, all results).
 
-    The best result attains the minimum final energy over all starts.
+    The starts are solved in batches (``solve_starts``).  The best result
+    attains the minimum final energy over all starts, the first such in
+    start order.  A start that fails raises its error.
     """
     cfg = cfg or SolverConfig()
     if lam <= 0:
         raise ValueError("growth scale lam must be positive")
-    results = []
-    for label, sys0 in default_initializers(mask, fam, lam, coupling, kappa,
-                                            cfg, warn):
-        if partition:
-            results.append(minimize_partition(sys0, cfg, start_label=label))
-        else:
-            results.append(minimize_free(sys0, cfg, start_label=label))
-    best = min(results, key=lambda r: r.energy)
-    return best, results
+    results = solve_starts(default_initializers(mask, fam, lam, coupling,
+                                                kappa, cfg, warn),
+                           cfg, partition)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return min(results, key=lambda r: r.energy), results
 
 
 def segregation_projection(U: np.ndarray) -> np.ndarray:
-    """At each node keep the largest density (ties: lowest species index)."""
+    """At each node keep the largest density (ties: lowest species index),
+    for a (k, n) stack or for each (k, n) block of a (..., k, n) stack."""
     U = np.maximum(U, 0.0)
-    winner = np.argmax(U, axis=0)
-    out = np.zeros_like(U)
-    cols = np.arange(U.shape[1])
-    out[winner, cols] = U[winner, cols]
+    winner = np.argmax(U, axis=-2)[..., None, :]
+    species = np.arange(U.shape[-2])[:, None]
+    return np.where(species == winner, U, 0.0)
+
+
+def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
+    """Alternating descent/projection scheme for the segregated problem,
+    for each of a list of systems, advanced as one stack.
+
+    Ignores the competition rate: each species takes one projected step
+    along its box-solve Sobolev gradient on its own single-species energy,
+    then the segregation projection restores pairwise disjoint supports.
+    A solve terminates when no species moves (converged only when every
+    step is flat) or on an energy stall of its segregated total; on curved
+    masks the step count grows with 1/h.  The output is segregated
+    nodewise by construction.
+
+    The systems share one mask, species count and base law.  The m
+    systems' species are the m k rows of one (m k, 1, n) stack; each
+    system keeps its own energy, stall counter, stop reason and iteration
+    count, and leaves the stack when its solve stops, so each result is,
+    bit for bit, the one its system gets alone.  The batch's wall time is
+    split over the solves in proportion to their iterations, and a
+    result's ``seconds`` is its share.
+
+    Returns one MinimizeResult per system, in order, or for a system whose
+    initial energy is not finite the ValueError that fails it alone.
+    """
+    t0 = time.perf_counter()
+    systems = list(systems)
+    labels = ["custom"] * len(systems) if labels is None else list(labels)
+    B = len(systems)
+    # Row b k + i of this objective is species i of system b alone, a
+    # (1, n) stack: its energy is J_i, and there is no coupling.
+    obj = Objective.species_of(systems)
+    box = _ops(obj.mask).box_solver()
+    h2, k, n = obj.h2, systems[0].k, obj.mask.n_interior
+    caps = np.stack([s.fam.betas for s in systems])[:, :, None]
+    U = segregation_projection(np.clip(np.stack([s.stacked() for s in systems]),
+                                       0.0, caps)).reshape(B * k, 1, n)
+    caps = caps.reshape(B * k, 1, 1)
+    shifts = np.array([_h1_shifts(s.fam, s.lam, h2) for s in systems]).ravel()
+    Es, LU = obj.value(U)   # per-species energies, L @ U
+    E = Es.reshape(B, k).sum(axis=1).tolist()
+
+    rows = list(range(B))   # the systems still iterating, by stack block
+    evals, iters, stall = [k] * B, [0] * B, [0] * B
+    energies = [[e] for e in E]
+    converged, stop_reason, finals = [False] * B, ["max_iters"] * B, [None] * B
+
+    def leave(stopped):
+        """Keep the final iterate of the given blocks, which stop, and drop
+        them from the stack."""
+        nonlocal rows, obj, U, LU, Es, E, caps, shifts, stall
+        for j in stopped:
+            finals[rows[j]] = (U[j * k:(j + 1) * k], LU[j * k:(j + 1) * k])
+        keep = [j for j in range(len(rows)) if j not in stopped]
+        sub = [j * k + i for j in keep for i in range(k)]
+        rows, E, stall = ([x[j] for j in keep] for x in (rows, E, stall))
+        U, LU, Es, caps, shifts = (x[sub] for x in (U, LU, Es, caps, shifts))
+        obj = obj.take(sub)
+
+    failed = [j for j, e in enumerate(E) if not math.isfinite(e)]
+    if failed:   # these never iterate
+        leave(failed)
+    it = 0
+    while rows and it < cfg.max_iters:
+        it += 1
+        grad = obj.grad(U, LU)
+        D = -h2 * box.solve(grad, shifts)
+        U_new, _, _, how, ev = _projected_step(obj, U, Es, grad, D, caps,
+                                               null_ok=[True] * len(U))
+        stopped = []   # no species moved, so every later iteration repeats
+        for j, b in enumerate(rows):
+            block = how[j * k:(j + 1) * k]
+            evals[b] += sum(ev[j * k:(j + 1) * k])
+            if STEP not in block:
+                stopped.append(j)
+                iters[b], converged[b] = it, block.count(FLAT) == k
+                stop_reason[b] = "stall" if converged[b] else "step_underflow"
+        moved = [r for r, x in enumerate(how) if x == STEP]
+        if moved:
+            U[moved] = U_new[moved]
+        if stopped:
+            leave(stopped)
+            if not rows:
+                break
+        U = segregation_projection(U.reshape(-1, k, n)).reshape(-1, 1, n)
+        Es, LU = obj.value(U)
+        stopped = []
+        for j, e_new in enumerate(Es.reshape(-1, k).sum(axis=1).tolist()):
+            b, e = rows[j], E[j]
+            evals[b] += k
+            flat = abs(e - e_new) < TOL_ENERGY * max(1.0, abs(e))
+            stall[j] = stall[j] + 1 if flat else 0
+            E[j] = e_new
+            energies[b].append(e_new)
+            if stall[j] >= STALL_WINDOW:
+                stopped.append(j)
+                iters[b], converged[b], stop_reason[b] = it, True, "stall"
+        if stopped:
+            leave(stopped)
+    for b in rows:   # these ran out of iterations
+        iters[b] = it
+    leave(list(range(len(rows))))
+
+    out = []
+    for b, sys0 in enumerate(systems):
+        if not iters[b]:   # it never iterated
+            out.append(ValueError("non-finite energy at the initial iterate"))
+            continue
+        Ub, LUb = finals[b]
+        grad = Objective.species_of([sys0]).grad(Ub, LUb)[:, 0]
+        final = sys0.replace_values(Ub[:, 0])
+        out.append(MinimizeResult(
+            system=final, report=energy_total(final), iters=iters[b],
+            converged=converged[b], alive=alive_flags(final),
+            start_label=labels[b],
+            residual=_projected_residual(Ub[:, 0], grad, sys0.fam.betas[:, None]),
+            energies=np.array(energies[b]), stop_reason=stop_reason[b],
+            evals=evals[b]))
+    wall = time.perf_counter() - t0
+    total_iters = sum(iters)
+    for res in out:
+        if isinstance(res, MinimizeResult):
+            res.seconds = wall * res.iters / total_iters
     return out
 
 
 def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                        start_label: str = "custom") -> MinimizeResult:
-    """Alternating descent/projection scheme for the segregated problem.
-
-    Ignores the competition rate: each species takes one projected step
-    along its box-solve Sobolev gradient on its own single-species energy,
-    then the segregation projection restores pairwise disjoint supports.
-    Terminates when no species moves (converged only when every step is
-    flat) or on an energy stall of the segregated total; on curved masks
-    the step count grows with 1/h.
-    The output is segregated nodewise by construction.
-    """
-    t0 = time.perf_counter()
-    box = _ops(sys0.mask).box_solver()
-    # Row i of this objective is species i alone, a (1, n) stack: its
-    # energy is J_i, and there is no coupling.
-    obj = Objective(sys0.mask, sys0.fam, sys0.lam).per_species()
-    h2, fam, lam = obj.h2, sys0.fam, sys0.lam
-    betas = fam.betas
-    k = fam.k
-    caps = betas[:, None, None]
-    every = [True] * k
-
-    U = segregation_projection(np.clip(sys0.stacked(), 0.0, betas[:, None]))
-    Es, LU = obj.value(U[:, None])   # per-species energies, L @ U
-    evals = k
-    E = float(Es.sum())
-    if not np.isfinite(E):
-        raise ValueError("non-finite energy at the initial iterate")
-
-    shifts = _h1_shifts(fam, lam, h2)
-    energies = [E]
-    stall = 0
-    converged = False
-    stop_reason = "max_iters"
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        grad = obj.grad(U[:, None], LU)
-        D = -h2 * box.solve(grad, shifts)
-        U_new, _, _, how, ev = _projected_step(obj, U[:, None], Es, grad, D,
-                                               caps, null_ok=every)
-        evals += sum(ev)
-        moved = [i for i, x in enumerate(how) if x == STEP]
-        if not moved:   # U is unchanged, so every later iteration repeats
-            converged = how.count(FLAT) == k
-            stop_reason = "stall" if converged else "step_underflow"
-            break
-
-        U[moved] = U_new[moved, 0]
-        U = segregation_projection(U)
-        Es, LU = obj.value(U[:, None])
-        evals += k
-        E_new = float(Es.sum())
-        stall = stall + 1 if abs(E - E_new) < TOL_ENERGY * max(1.0, abs(E)) else 0
-        E = E_new
-        energies.append(E)
-        if stall >= STALL_WINDOW:
-            converged = True
-            stop_reason = "stall"
-            break
-
-    final = sys0.replace_values(U)
-    report = energy_total(final)
-    grad = obj.grad(U[:, None], LU)[:, 0]
-    return MinimizeResult(system=final, report=report, iters=it,
-                          converged=converged, alive=alive_flags(final),
-                          start_label=start_label,
-                          residual=_projected_residual(U, grad, betas[:, None]),
-                          energies=np.array(energies), stop_reason=stop_reason,
-                          evals=evals, seconds=time.perf_counter() - t0)
+    """Alternating descent/projection scheme for the segregated problem:
+    the one-system case of ``minimize_partition_many``."""
+    res, = minimize_partition_many([sys0], cfg, [start_label])
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

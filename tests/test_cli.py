@@ -195,10 +195,12 @@ class TestConfigValidation:
 
 class TestMinimizeCommand:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):
+        # "out" names another directory: --out wins, and config.json says so
         out = str(tmp_path / "run")
-        cfg = base_run_config(out)
+        cfg = base_run_config(str(tmp_path / "elsewhere"))
         rc = main(["minimize", "--config",
-                   write_config(tmp_path, "c.json", cfg), "--dump-fields"])
+                   write_config(tmp_path, "c.json", cfg), "--dump-fields",
+                   "--out", out])
         assert rc == 0
         with open(out + "/results.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -208,6 +210,8 @@ class TestMinimizeCommand:
         # normalized config written and round-trips
         saved = json.load(open(out + "/config.json"))
         assert normalize_run_config(saved) == saved
+        assert saved["out"] == out
+        assert not (tmp_path / "elsewhere").exists()
         assert not (tmp_path / "run" / "manifest.txt").exists()
 
     def test_records_carry_wall_times(self, tmp_path):

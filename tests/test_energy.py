@@ -85,8 +85,7 @@ class TestLaplacian:
 
     def test_eigenfunction(self):
         mask = build_rectangle(1, 1, 0.01)
-        u = DensityField.from_function(
-            mask, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        u = DensityField(mask, np.sin(np.pi * mask.xs) * np.sin(np.pi * mask.ys))
         ratio = -laplacian(u).values / u.values
         assert np.max(np.abs(ratio / (2 * np.pi ** 2) - 1)) < 1e-3
 
@@ -489,7 +488,7 @@ class TestBoxSolver:
 class TestRescaledCopy:
     def test_exact_on_aligned_nodes(self):
         mask = build_rectangle(1, 1, 1 / 32)
-        u = DensityField.from_function(mask, lambda x, y: x * (1 - x) * y)
+        u = DensityField(mask, mask.xs * (1 - mask.xs) * mask.ys)
         w = rescaled_copy(u, 0.25, 2, x0=(0.25, 0.25))
         xq = (mask.xs - 0.25) / 0.25
         yq = (mask.ys - 0.25) / 0.25
@@ -520,8 +519,7 @@ class TestRescaledCopy:
         mask = build_rectangle(1, 1, 1 / 64)
         fam = scaled_family(logistic(), 2, (0.25,))
         lam = 100.0
-        u = DensityField.from_function(
-            mask, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        u = DensityField(mask, np.sin(np.pi * mask.xs) * np.sin(np.pi * mask.ys))
         w = rescaled_copy(u, 0.25, 2, x0=(0.375, 0.375))
         J1 = single_species_energy(u, 1, fam, lam)
         J2 = single_species_energy(w, 2, fam, lam)

@@ -1,6 +1,7 @@
 import os
 import string
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,23 @@ from competelab.model import (ScaledFamily, coupling_quartic, logistic,
                               scaled_family)
 from competelab.solve import (MinimizeResult, SolverConfig, alive_flags,
                               minimize_multistart)
-from competelab import lab
+from competelab import lab, solve
 
 FAST = SolverConfig(restarts=1, max_iters=6000)
+
+
+def timed(monkeypatch, name):
+    """Time each call of the batched solver ``solve.<name>``; returns the
+    list the wall times go to."""
+    walls, many = [], getattr(solve, name)
+
+    def call(*args):
+        t0 = time.perf_counter()
+        out = many(*args)
+        walls.append(time.perf_counter() - t0)
+        return out
+    monkeypatch.setattr(solve, name, call)
+    return walls
 
 
 def fake_result(mask, values, lam=200.0):
@@ -104,12 +119,19 @@ class TestExtinction:
         with pytest.raises(ValueError):
             lab.verify_extinction_identical(mask, 2, 5.0, FAST)
 
-    def test_records_carry_per_start_wall_times(self):
+    def test_records_carry_per_start_wall_times(self, monkeypatch):
+        # The starts are solved in one batch; a record's time is its start's
+        # share of the batch's measured wall time, in proportion to its
+        # iterations (times are written at 7 significant digits).
+        walls = timed(monkeypatch, "minimize_partition_many")
         verdict = lab.verify_extinction_identical(build_rectangle(1, 1, 1 / 16),
                                                   2, 60.0, FAST)
         times = [r.wall_time for r in verdict.records]
         assert len(times) > 1 and all(t > 0 for t in times)
-        assert len(set(times)) == len(times)  # measured, not one average
+        per_iter = [t / r.iters for t, r in zip(times, verdict.records)]
+        assert max(per_iter) == pytest.approx(min(per_iter), rel=2e-6)
+        assert len(walls) == 1
+        assert sum(times) == pytest.approx(walls[0], rel=1e-2)
 
 
 class TestLimiti:
@@ -129,6 +151,17 @@ class TestLimiti:
         assert vals[1] < vals[0]
         assert verdict.details["monotone_ok"]
         assert "fit_A" not in verdict.details
+
+    def test_each_rate_takes_one_batch(self, monkeypatch):
+        # limiti-square's rates, two starts of 3,969 values each: a rate's
+        # starts share a batch, and its record's time covers that batch.
+        walls = timed(monkeypatch, "minimize_free_many")
+        verdict = lab.verify_limiti_asymptotics(build_rectangle(1, 1, 1 / 64),
+                                                [200.0, 400.0, 800.0],
+                                                SolverConfig(restarts=0))
+        assert len(walls) == len(verdict.records) == 3
+        assert all(r.wall_time >= (1 - 1e-6) * wall
+                   for r, wall in zip(verdict.records, walls))
 
     def test_limit_fit_recovers_three_term_law(self):
         lams = [50.0, 100.0, 200.0, 400.0, 800.0]
@@ -383,7 +416,7 @@ class TestSweep:
                 assert len(tasks) >= min(jobs, len(groups))
                 for task in tasks:
                     assert len(task) == 1 or sum(
-                        sizes[int(g[0])] for g in task) <= lab.BATCH_VALUES
+                        sizes[int(g[0])] for g in task) <= solve.BATCH_VALUES
         # the benchmark's disc sweep: 12 groups of 10 systems x 2 x 441 nodes
         size = lab._group_values(2, 0, [0.0, 50.0, 200.0, 800.0], 441)
         assert size == 8820

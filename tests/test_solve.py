@@ -10,12 +10,15 @@ from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
                                  build_wedge)
 from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
-from competelab.solve import (STEP, SolverConfig, _distance_to_boundary,
-                              _h1_shifts, _newton_direction, _projected_step,
-                              alive_flags, default_initializers,
+from competelab import solve
+from competelab.solve import (BATCH_VALUES, STEP, SolverConfig,
+                              _distance_to_boundary, _h1_shifts,
+                              _newton_direction, _projected_step, alive_flags,
+                              batch_runs, default_initializers,
                               kappa_continuation, merged_system, minimize_free,
                               minimize_free_many, minimize_multistart,
-                              minimize_partition, segregation_projection)
+                              minimize_partition, minimize_partition_many,
+                              segregation_projection, solve_starts)
 
 
 def single_fam():
@@ -338,6 +341,56 @@ class TestLoneStarts:
                 assert abs(res.energy - ref.energy) <= 1e-13 * abs(ref.energy)
 
 
+def nan_law():
+    """The logistic law with a NaN potential above 0.9."""
+    good = logistic()
+    return Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
+                        G=lambda s: np.where(np.asarray(s) > 0.9, np.nan,
+                                             good.G(s)), dg=good.dg)
+
+
+def non_finite_start_fails_alone(many, single):
+    """The uniform 0.95 start cannot begin (nan_law) and fails alone; the
+    0.5 start below lambda1 descends to 0 without meeting the NaN."""
+    fam = ScaledFamily(base=nan_law(), k=1, eps=())
+    mask = build_rectangle(1, 1, 1 / 8)
+    start = lambda v: SpeciesSystem(
+        [DensityField(mask, np.full(mask.n_interior, v))], fam, None, 10.0)
+    cfg = SolverConfig(max_iters=200)
+    bad, ok = many([start(0.95), start(0.5)], cfg, ["bad", "ok"])
+    assert isinstance(bad, ValueError) and "non-finite" in str(bad)
+    assert_same_solve(ok, single(start(0.5), cfg, "ok"))
+    assert ok.converged
+    with pytest.raises(ValueError):
+        single(start(0.95), cfg)
+
+
+def assert_same_solve(got, want):
+    """``got`` is, bit for bit, the solve ``want``."""
+    assert got.start_label == want.start_label
+    assert (got.iters, got.cg_iters, got.evals, got.stop_reason,
+            got.converged) == (want.iters, want.cg_iters, want.evals,
+                               want.stop_reason, want.converged)
+    assert repr(got.energy) == repr(want.energy)
+    assert repr(got.residual) == repr(want.residual)
+    assert np.array_equal(got.system.stacked(), want.system.stacked())
+    assert np.array_equal(got.energies, want.energies)
+    assert got.alive == want.alive
+
+
+def assert_batch_equals_single_solves(many, single, starts, cfg):
+    """The batch solve of labeled starts equals each start's lone solve,
+    and shares its wall time out in proportion to iterations.  Returns the
+    batch's results."""
+    batch = many([s for _, s in starts], cfg, [label for label, _ in starts])
+    assert len(batch) == len(starts)
+    for (label, sys0), got in zip(starts, batch):
+        assert_same_solve(got, single(sys0, cfg, label))
+    per_iter = [r.seconds / r.iters for r in batch]
+    assert max(per_iter) == pytest.approx(min(per_iter), rel=1e-9)
+    return batch
+
+
 def sweep_group_systems(mask, base, coupling, lam, eps, kappas, cfg):
     """The systems a sweep solves for one (lam, eps) group: each lone start
     once at kappa 0, every other start at each kappa."""
@@ -365,53 +418,99 @@ class TestBatch:
         for lam, eps in ((100.0, 0.4), (140.0, 0.2)):
             systems += sweep_group_systems(mask, base, coupling, lam, eps,
                                            (0.0, 50.0, 200.0, 800.0), cfg)
-        labels = [label for label, _ in systems]
-        batch = minimize_free_many([s for _, s in systems], cfg, labels)
+        batch = assert_batch_equals_single_solves(
+            minimize_free_many, minimize_free, systems, cfg)
         assert len(batch) == 20
-        for (label, sys0), got in zip(systems, batch):
-            want = minimize_free(sys0, cfg, label)
-            assert got.start_label == want.start_label
-            assert (got.iters, got.cg_iters, got.evals, got.stop_reason,
-                    got.converged) == (want.iters, want.cg_iters, want.evals,
-                                       want.stop_reason, want.converged)
-            assert repr(got.energy) == repr(want.energy)
-            assert repr(got.residual) == repr(want.residual)
-            assert np.array_equal(got.system.stacked(), want.system.stacked())
-            assert np.array_equal(got.energies, want.energies)
-            assert got.alive == want.alive
-        # the batch's wall time is shared out in proportion to iterations
-        per_iter = [r.seconds / r.iters for r in batch]
-        assert max(per_iter) == pytest.approx(min(per_iter), rel=1e-9)
 
     def test_non_finite_start_fails_alone(self):
-        # The potential is NaN above 0.9: the uniform 0.95 start cannot
-        # begin, and the 0.5 start below lambda1 descends to 0 without
-        # meeting it.
-        good = logistic()
-        law = Nonlinearity(g=good.g, beta=1.0, gmax=0.25, alpha=good.alpha,
-                           G=lambda s: np.where(np.asarray(s) > 0.9, np.nan,
-                                                good.G(s)), dg=good.dg)
-        fam = ScaledFamily(base=law, k=1, eps=())
-        mask = build_rectangle(1, 1, 1 / 8)
-        start = lambda v: SpeciesSystem(
-            [DensityField(mask, np.full(mask.n_interior, v))], fam, None, 10.0)
-        cfg = SolverConfig(max_iters=200)
-        bad, ok = minimize_free_many([start(0.95), start(0.5)], cfg, ["bad", "ok"])
-        assert isinstance(bad, ValueError) and "non-finite" in str(bad)
-        want = minimize_free(start(0.5), cfg, "ok")
-        assert (ok.iters, ok.evals, ok.converged) == (want.iters, want.evals, True)
-        assert np.array_equal(ok.system.stacked(), want.system.stacked())
-        with pytest.raises(ValueError):
-            minimize_free(start(0.95), cfg)
+        non_finite_start_fails_alone(minimize_free_many, minimize_free)
+
+    def test_non_finite_partition_start_fails_alone(self):
+        non_finite_start_fails_alone(minimize_partition_many,
+                                     minimize_partition)
+
+    @pytest.mark.parametrize("partition", [False, True])
+    def test_multistart_raises_the_failed_start(self, partition):
+        # The first-species bump reaches the cap 1, where nan_law's
+        # potential is NaN; the uniform start at 0.5 could run.
+        fam = ScaledFamily(base=nan_law(), k=1, eps=())
+        with pytest.raises(ValueError, match="non-finite"):
+            minimize_multistart(build_rectangle(1, 1, 1 / 8), fam, 50.0,
+                                cfg=SolverConfig(restarts=0),
+                                partition=partition)
 
     def test_systems_must_share_a_mask(self):
         cfg = SolverConfig(restarts=0)
         one = zero_system(build_rectangle(1, 1, 1 / 8), single_fam(), 10.0)
         two = zero_system(build_rectangle(1, 1, 1 / 8), single_fam(), 10.0)
-        with pytest.raises(ValueError):
-            minimize_free_many([one, two], cfg)
+        for many in (minimize_free_many, minimize_partition_many):
+            with pytest.raises(ValueError):
+                many([one, two], cfg)
+
+    def test_wedge_partition_starts_equal_the_single_solves(self):
+        # The partition multistart of the system2-wedge benchmark (wedge
+        # m = 2, h = 1/32, lam 200, eps2 0.6, restarts=2, seed 7).
+        cfg = SolverConfig(restarts=2, seed=7)
+        fam = scaled_family(logistic(), 2, (0.6,))
+        starts = default_initializers(build_wedge(2.0, 1 / 32), fam, 200.0,
+                                      coupling_quartic(2), 0.0, cfg)
+        batch = assert_batch_equals_single_solves(
+            minimize_partition_many, minimize_partition, starts, cfg)
+        assert [r.iters for r in batch] == [23, 16, 46, 25, 24, 24]
+
+    def test_k3_partition_starts_equal_the_single_solves(self):
+        cfg = SolverConfig(restarts=3, max_iters=3000)
+        fam = scaled_family(logistic(), 3, (0.5, 0.25))
+        starts = default_initializers(build_rectangle(1, 1, 1 / 24), fam,
+                                      120.0, cfg=cfg)
+        assert_batch_equals_single_solves(minimize_partition_many,
+                                          minimize_partition, starts, cfg)
 
 
+class TestBatchRuns:
+    """Multistarts reach the batched solvers in runs cut by one size rule."""
+
+    @given(st.lists(st.integers(1, 3 * BATCH_VALUES), max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_runs_keep_order_and_the_size_rule(self, sizes):
+        runs = batch_runs(sizes)
+        assert [i for run in runs for i in run] == list(range(len(sizes)))
+        for run, after in zip(runs, runs[1:] + [None]):
+            used = sum(sizes[i] for i in run)
+            assert len(run) == 1 or used <= BATCH_VALUES
+            # a run ends only where the next start does not fit
+            assert after is None or used + sizes[after[0]] > BATCH_VALUES
+
+    def test_scan_mask_solves_one_start_at_a_time(self, monkeypatch):
+        # Criterion 7's scan (disc r = 1, h = 1/64, k = 2, restarts=2): a
+        # start is 25,698 values, so no two share a batch.
+        calls = []
+        monkeypatch.setattr(solve, "minimize_free_many",
+                            lambda systems, cfg, labels: calls.append(labels)
+                            or [None] * len(systems))
+        cfg = SolverConfig(restarts=2, seed=7)
+        starts = default_initializers(build_disc(1.0, 1 / 64),
+                                      scaled_family(logistic(), 2, (0.4,)),
+                                      200.0, coupling_quartic(2), 400.0, cfg)
+        assert len(solve_starts(starts, cfg)) == 6
+        assert calls == [[label] for label, _ in starts]
+
+    @pytest.mark.parametrize("partition", [False, True])
+    def test_small_multistart_takes_one_batch(self, monkeypatch, partition):
+        # system2-wedge's multistarts: six starts of 2 x 481 values.
+        name = "minimize_partition_many" if partition else "minimize_free_many"
+        calls, many = [], getattr(solve, name)
+        monkeypatch.setattr(solve, name, lambda systems, *a: calls.append(
+            len(systems)) or many(systems, *a))
+        fam = scaled_family(logistic(), 2, (0.6,))
+        _, results = minimize_multistart(
+            build_wedge(2.0, 1 / 32), fam, 200.0, coupling=coupling_quartic(2),
+            kappa=10.0, cfg=SolverConfig(restarts=2, seed=7),
+            partition=partition)
+        assert calls == [6] and len(results) == 6
+
+
+LOGISTIC = logistic()   # one base law, so drawn systems can share a batch
 MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6),
          "wedge": build_wedge(2.0, 1 / 20)}
 
@@ -419,9 +518,21 @@ MASKS = {"square": build_rectangle(1, 1, 1 / 10), "disc": build_disc(1.0, 1 / 6)
 @st.composite
 def random_systems(draw):
     mask = MASKS[draw(st.sampled_from(sorted(MASKS)))]
+    return draw_system(draw, mask, draw(st.integers(1, 3)))
+
+
+@st.composite
+def random_batches(draw):
+    """One to three systems on one mask, with one species count."""
+    mask = MASKS[draw(st.sampled_from(sorted(MASKS)))]
     k = draw(st.integers(1, 3))
+    return [draw_system(draw, mask, k) for _ in range(draw(st.integers(1, 3)))]
+
+
+def draw_system(draw, mask, k):
+    """A system of k species on mask with drawn scales, rates and start."""
     eps = tuple(draw(st.floats(0.1, 0.9)) for _ in range(k - 1))
-    fam = ScaledFamily(base=logistic(), k=k, eps=eps)
+    fam = ScaledFamily(base=LOGISTIC, k=k, eps=eps)
     lam = draw(st.floats(5.0, 400.0))
     kappa = draw(st.floats(0.0, 2000.0)) if k > 1 else 0.0
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -457,6 +568,13 @@ class TestSolverProperties:
                 assert np.all(V[i] * V[j] == 0.0)
         assert in_box(res)
         assert res.stop_reason in ("stall", "max_iters")
+
+    @given(random_batches())
+    @settings(max_examples=20, deadline=None)
+    def test_partition_batch_disjoint_and_in_box(self, systems):
+        for res in minimize_partition_many(systems, SolverConfig(max_iters=150)):
+            assert np.all(np.count_nonzero(res.system.stacked(), axis=0) <= 1)
+            assert in_box(res)
 
 
 class TestInitializers:
