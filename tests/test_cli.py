@@ -309,6 +309,13 @@ class TestVerifyCommand:
         assert out.count("lambda1") == 1
         assert out.count("reference") == 1
 
+    def test_eig_reports_steps(self, tmp_path, capsys):
+        assert main(["verify", "eig", "--out", str(tmp_path / "eig")]) == 0
+        assert "  steps = 0\n" in capsys.readouterr().out
+        details = json.loads((tmp_path / "eig" / "eig.json").read_text())["details"]
+        assert details["steps"] == 0
+        assert details["residual"] <= 1e-10
+
     def test_eig_custom_reference_fail_path(self, tmp_path):
         cfg = {"domain": {"kind": "rectangle", "width": 1.0, "height": 1.0,
                           "h": 1 / 16},

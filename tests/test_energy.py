@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from competelab.energy import (DensityField, Objective, SpeciesSystem, _ops,
-                               bilinear_sample, dirichlet_energy, energy_gradient,
+from competelab.energy import (DensityField, Objective, SpeciesSystem,
+                               _lambda1_run, _ops, bilinear_sample, dirichlet_energy, energy_gradient,
                                energy_total, field_to_csv, field_to_pgm, lambda1,
                                laplacian, rescaled_copy, single_species_energy)
 from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
@@ -392,6 +392,76 @@ class TestLambda1:
         assert got - l1 <= tol * got ** 2 / (l2 - got) + slack
         if tol <= 1e-12:
             assert abs(got - l1) <= 1e-10 * l1
+
+
+class TestLambda1Preconditioner:
+    """The box's low-mode inverse that preconditions lambda1, and the
+    iteration's steps, stencil products and values."""
+
+    def test_truncated_operator_is_symmetric_positive_definite(self):
+        mask = build_wedge(2.0, 1 / 40)   # a 39-node box axis keeps 32 modes
+        T = _ops(mask).box_solver().low_mode_inverse()
+        assert T.inv_sigma > 0
+        n = mask.n_interior
+        dense = np.empty((n, n))
+        for j, e in enumerate(np.eye(n)):
+            dense[:, j] = T(e)
+        assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0
+
+    @pytest.mark.parametrize("mask", [build_disc(1.0, 1 / 16), build_wedge(2.0, 1 / 32),
+                                      build_rectangle(1, 0.5, 1 / 32)],
+                             ids=["disc", "wedge", "rectangle"])
+    def test_small_boxes_keep_the_box_solve(self, mask):
+        box = _ops(mask).box_solver()
+        assert max(box.eig.shape) <= 32
+        T = box.low_mode_inverse()
+        assert T.inv_sigma == 0.0
+        r = np.random.default_rng(9).normal(size=mask.n_interior)
+        want = box.solve(r, 0.0)
+        assert np.linalg.norm(T(r) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @staticmethod
+    def counted(mask):
+        """Count the mask's stencil products from here on."""
+        ops = _ops(mask)
+        calls, apply = [], ops.apply
+        ops.apply = lambda X: calls.append(1) or apply(X)
+        return calls
+
+    def test_one_stencil_product_per_step_and_a_fresh_one_to_stop(self):
+        mask = build_disc(1.0, 1 / 32)
+        calls = self.counted(mask)
+        lambda1(mask)
+        steps, residual = _lambda1_run(mask)
+        assert steps > 0
+        # the start's product, one per step, and the stop's fresh product
+        assert len(calls) == steps + 2
+        assert 0 < residual <= np.sqrt(1e-8)
+
+    def test_rectangle_takes_no_step_and_builds_no_preconditioner(self):
+        mask = build_rectangle(1, 1, 1 / 64)
+        calls = self.counted(mask)
+        lambda1(mask)
+        assert _lambda1_run(mask)[0] == 0
+        assert len(calls) == 1
+        assert _ops(mask).box_solver()._low is None
+
+    @pytest.mark.parametrize("mask,want,max_steps", [
+        (build_disc(1.0, 1 / 96), 5.746258847628859, 30),
+        (build_wedge(2.0, 1 / 128), 45.622208809560156, 36)], ids=["disc", "wedge"])
+    def test_fine_masks_keep_their_values_in_few_steps(self, mask, want, max_steps):
+        # want: the value of the box-solve-preconditioned iteration
+        got = lambda1(mask)
+        assert abs(got - want) <= 1e-10 * want
+        assert _lambda1_run(mask)[0] <= max_steps
+
+    def test_matches_shift_invert_on_the_disc(self):
+        from scipy.sparse.linalg import eigsh
+        mask = build_disc(1.0, 1 / 64)
+        want = eigsh(csr_laplacian(mask).tocsc(), k=1, sigma=0,
+                     return_eigenvectors=False)[0] / mask.h ** 2
+        assert abs(lambda1(mask) - want) <= 1e-9 * want
 
 
 class TestBoxSolver:

@@ -76,6 +76,13 @@ class TestDisc:
         assert np.array_equal(m.interior, m.interior[::-1, :])
         assert np.array_equal(m.interior, m.interior[:, ::-1])
 
+    @pytest.mark.parametrize("h", [1 / 12, 1 / 16, 1 / 32, 1 / 64, 1 / 100, 1 / 128],
+                             ids=str)
+    def test_mirror_symmetry_across_meshes(self, h):
+        m = build_disc(1.0, h)
+        assert np.array_equal(m.interior, m.interior[::-1, :])
+        assert np.array_equal(m.interior, m.interior[:, ::-1])
+
     def test_count_oracle(self):
         r, h = 0.5, 0.05
         m = build_disc(r, h)
@@ -105,6 +112,11 @@ class TestWedge:
         assert at_origin.sum() == 1
         assert not m.interior[at_origin].any()
         assert np.all(m.xs > 0)
+
+    @pytest.mark.parametrize("h", [1 / 32, 1 / 128], ids=str)
+    def test_mirror_symmetry(self, h):
+        m = build_wedge(2.0, h)
+        assert np.array_equal(m.interior, m.interior[:, ::-1])
 
     def test_aperture_precondition(self):
         with pytest.raises(ValueError):

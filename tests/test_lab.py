@@ -265,6 +265,15 @@ class TestEig:
         bad = lab.verify_eigenvalue(mask, 30.0, 0.001)
         assert bad.status == lab.FAIL
 
+    def test_details_carry_steps_and_residual(self):
+        square = lab.verify_eigenvalue(build_rectangle(1, 1, 1 / 32),
+                                       2 * np.pi ** 2, 0.01)
+        assert square.details["steps"] == 0
+        assert 0 <= square.details["residual"] <= 1e-10
+        disc = lab.verify_eigenvalue(build_disc(1.0, 1 / 16), 5.783, 0.05)
+        assert disc.details["steps"] > 0
+        assert 0 < disc.details["residual"] <= np.sqrt(1e-8)
+
 
 class TestRecords:
     def test_fmt_17_digits_roundtrip(self):
