@@ -3,8 +3,8 @@
 from .geometry import (Grid, DomainMask, build_rectangle, build_disc,
                        build_wedge, scale_mask)
 from .model import (Nonlinearity, ScaledFamily, Coupling, logistic,
-                    scaled_family, identical_family, f_eval, F_eval,
-                    coupling_quartic, cutoff_phi)
+                    scaled_family, identical_family, coupling_quartic,
+                    cutoff_phi)
 from .energy import (DensityField, SpeciesSystem, EnergyReport, Objective,
                      laplacian, dirichlet_energy, energy_total, energy_gradient,
                      single_species_energy, lambda1, rescaled_copy,

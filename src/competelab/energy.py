@@ -320,32 +320,26 @@ def laplacian(field: DensityField) -> DensityField:
 
 
 class Objective:
-    """The total energy of k densities on one mask: value, gradient,
-    Hessian and report, for one system or for a stack of systems.
+    """The total energy of a stack of systems of k densities on one mask:
+    value, gradient, Hessian, Sobolev shifts and report.
 
     Built from the model parameters, so one objective serves every iterate
-    of a solve.  ``Objective.of(sys)`` takes them from one system, whose
-    iterates are (k, n) stacks; ``Objective.many(systems)`` from systems
-    on one mask, whose iterates are (m, k, n) stacks, row b for system b.
-    Each row keeps its own lam, species laws and kappa and gets the values
-    its own system's objective gives, bit for bit; the rows share only the
-    numpy calls.  Species energies are J_i(v) = 0.5 v.(L v) - lam h^2
-    sum F_i(v); the total adds kappa h^2 sum H(U) when kappa > 0 and there
-    are two or more species to couple.  The coupled rows of a stack come
-    first and share one coupling, which meets them as one (k, m, n) stack.
+    of a solve.  Its iterates are (m, k, n) stacks, row b for system b:
+    ``Objective.many(systems)`` takes the parameters from systems on one
+    mask, a one-system list for one system.  Each row keeps its own lam,
+    species laws and kappa and gets the values its own system's objective
+    gives, bit for bit; the rows share only the numpy calls.  Species
+    energies are J_i(v) = 0.5 v.(L v) - lam h^2 sum F_i(v); the total adds
+    kappa h^2 sum H(U) when kappa > 0 and there are two or more species to
+    couple.  The first ``n_coupled`` rows are the coupled ones and share
+    one coupling, which meets them as one (k, m, n) stack.
     ``hessian(U)`` returns the Hessian of the total at U as an operator on
     stacks, with the factors that depend on U alone computed once.  L
     meets a whole stack in one call of the mask's five-point stencil
     (``_MaskOps.apply``).
     """
 
-    def __init__(self, mask: DomainMask, fam: ScaledFamily, lam: float,
-                 coupling: Coupling | None = None, kappa: float = 0.0):
-        self._set(mask, LawStack.of([fam]), np.array([lam], dtype=float),
-                  coupling, np.array([kappa], dtype=float),
-                  int(kappa > 0 and coupling is not None and fam.k > 1))
-
-    def _set(self, mask, laws, lams, coupling, kappas, n_coupled):
+    def __init__(self, mask, laws, lams, coupling, kappas, n_coupled):
         self.mask, self.laws, self.coupling = mask, laws, coupling
         self.apply_L = _ops(mask).apply
         self.h2 = mask.h ** 2
@@ -356,38 +350,31 @@ class Objective:
         self.kh2 = kappas[:n_coupled] * self.h2
 
     @classmethod
-    def of(cls, sys: SpeciesSystem) -> "Objective":
-        return cls(sys.mask, sys.fam, sys.lam, sys.coupling, sys.kappa)
-
-    @classmethod
     def many(cls, systems) -> "Objective":
         """The objective of a list of systems on one mask, one row each.
 
         The coupled systems (kappa > 0, a coupling and k > 1) must come
-        first and share one coupling."""
+        first and share one coupling.  The first system's coupling is kept
+        also when no row is coupled, for ``report``'s interaction."""
         mask = systems[0].mask
         if any(s.mask is not mask for s in systems):
             raise ValueError("stacked systems must share one mask")
         coupled = [s.coupled for s in systems]
         n_coupled = sum(coupled)
-        coupling = systems[0].coupling if n_coupled else None
+        coupling = systems[0].coupling
         if any(coupled[n_coupled:]) or any(
                 s.coupling is not coupling for s in systems[:n_coupled]):
             raise ValueError("the coupled systems of a stack must come first "
                              "and share one coupling")
-        obj = cls.__new__(cls)
-        obj._set(mask, LawStack.of([s.fam for s in systems]),
-                 np.array([s.lam for s in systems]), coupling,
-                 np.array([s.kappa for s in systems]), n_coupled)
-        return obj
+        return cls(mask, LawStack.of([s.fam for s in systems]),
+                   np.array([s.lam for s in systems]), coupling,
+                   np.array([s.kappa for s in systems]), n_coupled)
 
     def take(self, rows) -> "Objective":
         """The objective of the given rows (ascending indices) of a stack."""
-        obj = Objective.__new__(Objective)
-        obj._set(self.mask, self.laws.take(rows), self.lams[rows],
-                 self.coupling, self.kappas[rows],
-                 int(np.searchsorted(rows, self.n_coupled)))
-        return obj
+        return Objective(self.mask, self.laws.take(rows), self.lams[rows],
+                         self.coupling, self.kappas[rows],
+                         int(np.searchsorted(rows, self.n_coupled)))
 
     @classmethod
     def species_of(cls, systems) -> "Objective":
@@ -399,34 +386,29 @@ class Objective:
             raise ValueError("stacked systems must share one mask")
         laws = LawStack.of([s.fam for s in systems])
         rows = laws.a.size
-        obj = cls.__new__(cls)
-        obj._set(mask, LawStack(laws.base, laws.a.reshape(rows, 1, 1),
-                                laws.c.reshape(rows, 1, 1)),
-                 np.repeat([s.lam for s in systems], laws.a.shape[1]), None,
-                 np.zeros(rows), 0)
-        return obj
+        return cls(mask, LawStack(laws.base, laws.a.reshape(rows, 1, 1),
+                                  laws.c.reshape(rows, 1, 1)),
+                   np.repeat([s.lam for s in systems], laws.a.shape[1]), None,
+                   np.zeros(rows), 0)
+
+    def shifts(self) -> np.ndarray:
+        """Per species row, the shift s_i h^2 of the Sobolev metric
+        L + s_i h^2 I, in a shape that broadcasts against the stacks.
+
+        s_i = lam a_i c_i is the slope |f_i'(beta_i)| of species i's scaled
+        law at its cap, so each species is preconditioned on its own
+        density scale.
+        """
+        return self.lam * self.laws.a * self.laws.c * self.h2
 
     def _coupled(self, fn, *stacks):
         """The coupling function ``fn`` on the coupled rows of (m, k, n)
         stacks, which it meets species first, as a (k, m, n) stack."""
         return fn(*(S[:self.n_coupled].swapaxes(0, 1) for S in stacks))
 
-    def species(self, v: np.ndarray, i: int):
-        """J-energy of species i (0-based) at v, with the product L @ v."""
-        obj = Objective.__new__(Objective)
-        obj._set(self.mask, LawStack(self.laws.base, self.laws.a[0, i],
-                                     self.laws.c[0, i]),
-                 self.lams[:1], None, np.zeros(1), 0)
-        E, Lv = obj.value(v[None, None])
-        return float(E[0]), Lv[0, 0]
-
     def value(self, U: np.ndarray):
-        """Total energy of U and the product L @ U, which ``grad`` reuses:
-        a float for a (k, n) stack, an array of one per row for an
-        (m, k, n) stack."""
-        if U.ndim == 2:
-            E, LU = self.value(U[None])
-            return float(E[0]), LU[0]
+        """Total energy of each row of the (m, k, n) stack U, and the
+        product L @ U, which ``grad`` reuses."""
         LU = self.apply_L(U)
         # np.vecdot and the reduce over the last axis give each row the
         # bits ``v @ Lv`` and ``np.sum`` give it alone; the species are
@@ -443,8 +425,6 @@ class Objective:
 
     def grad(self, U: np.ndarray, LU: np.ndarray) -> np.ndarray:
         """Stack of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
-        if U.ndim == 2:
-            return self.grad(U[None], LU[None])[0]
         g = LU / self.h2 - self.lam * self.laws.f(U)
         if self.n_coupled:
             g[:self.n_coupled] += self.kappa * self._coupled(
@@ -459,9 +439,6 @@ class Objective:
         application costs one stencil product and, when coupled, one
         ``Coupling.d2H``.
         """
-        if U.ndim == 2:
-            op = self.hessian(U[None])
-            return lambda V: op(V[None])[0]
         return _Hessian(self, U, self.lam * self.laws.df(U))
 
     def report(self, U: np.ndarray) -> EnergyReport:
@@ -503,19 +480,24 @@ class _Hessian:
 
 
 def energy_total(sys: SpeciesSystem) -> EnergyReport:
-    return Objective.of(sys).report(sys.stacked())
+    return Objective.many([sys]).report(sys.stacked())
 
 
 def energy_gradient(sys: SpeciesSystem) -> np.ndarray:
     """Stack (k, n) of nodal gradients -Lap(u_i) - lam f_i(u_i) + kappa dH_i."""
-    obj, U = Objective.of(sys), sys.stacked()
-    return obj.grad(U, obj.apply_L(U))
+    obj, U = Objective.many([sys]), sys.stacked()[None]
+    return obj.grad(U, obj.apply_L(U))[0]
 
 
 def single_species_energy(field: DensityField, i: int, fam: ScaledFamily,
                           lam: float) -> float:
-    """J-energy of one species alone: Dirichlet minus its potential term."""
-    return Objective(field.mask, fam, lam).species(field.values, i - 1)[0]
+    """J-energy of species i (1-based) alone: Dirichlet minus its potential
+    term, the energy of its row of an ``Objective.species_of`` stack."""
+    laws = LawStack.of([fam])
+    obj = Objective(field.mask, LawStack(fam.base, laws.a[0, i - 1],
+                                         laws.c[0, i - 1]),
+                    np.array([lam], dtype=float), None, np.zeros(1), 0)
+    return float(obj.value(field.values[None, None])[0][0])
 
 
 def _lambda1_run(mask: DomainMask) -> tuple[int, float]:

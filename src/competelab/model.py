@@ -113,29 +113,6 @@ def identical_family(base: Nonlinearity, k: int) -> ScaledFamily:
     return ScaledFamily(base=base, k=k, identical=True)
 
 
-def _species_law(fam: ScaledFamily, i: int) -> "LawStack":
-    return LawStack(fam.base, *fam._scale(i))
-
-
-def f_eval(fam: ScaledFamily, i: int, s):
-    """Growth law of species i (1-based) at density s; vectorized."""
-    return _species_law(fam, i).f(np.asarray(s, dtype=float))
-
-
-def df_eval(fam: ScaledFamily, i: int, s):
-    """Derivative f_i'(s) = a c g'(c s) of species i's law; vectorized."""
-    return _species_law(fam, i).df(np.asarray(s, dtype=float))
-
-
-def F_eval(fam: ScaledFamily, i: int, s):
-    """Potential of species i: the integral of its law from 0 to s.
-
-    From the base law's antiderivative: F_i(s) = (a/c) G(c s), which is
-    G(c s)/k beyond the first species.
-    """
-    return _species_law(fam, i).F(np.asarray(s, dtype=float))
-
-
 class LawStack:
     """The growth laws of a stack of species rows that share one base law.
 

@@ -11,15 +11,15 @@ at the cap beta_i with a negative one) are fixed; on the remaining free
 set, conjugate gradients from zero solve H d = -grad for the Hessian
 H = L/h^2 - lam diag f_i'(u_i) + kappa Hess H(U), preconditioned by
 h^2 times the box solve shifted per species by the slope s_i =
-|f_i'(beta_i)| of the species' law at its cap, to a relative residual
-of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  The Hessian is built
-once per direction (``Objective.hessian``), so each CG step costs one
-box solve, one stencil product for the whole stack and, when coupled,
-one ``Coupling.d2H``.  A direction of non-positive curvature ends the
-inner solve with the iterate so far (Steihaug 1983); when it comes at
-the first step, the direction is the Sobolev gradient
-d_i = -h^2 (L + s_i h^2 I)^-1 grad_i instead.  The
-Newton direction captures the negative curvature -lam f_i'(u_i) that no
+|f_i'(beta_i)| of the species' law at its cap (``Objective.shifts``), to
+a relative residual of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  The
+Hessian is built once per direction (``Objective.hessian``), so each CG
+step costs one box solve, one stencil product for the whole stack and,
+when coupled, one ``Coupling.d2H``.  A direction of non-positive
+curvature ends the inner solve with the iterate so far (Steihaug 1983);
+when it comes at the first step, the direction is the Sobolev gradient
+d_i = -h^2 (L + s_i h^2 I)^-1 grad_i instead.  The Newton direction
+captures the negative curvature -lam f_i'(u_i) that no
 positive shift of the Sobolev metric can, so the stiff end of a
 competition continuation takes a few steps instead of hundreds.
 
@@ -175,16 +175,6 @@ def _projected_residual(U, grad, caps):
     """Sup norm of the box-projected first-order optimality residual: the
     largest |grad| on the free set."""
     return float(np.max(np.abs(np.where(_free_set(U, grad, caps), grad, 0.0))))
-
-
-def _h1_shifts(fam, lam, h2):
-    """Per-species shifts s_i h^2 of the Sobolev metric L + s_i h^2 I.
-
-    s_i = lam * a_i * c_i is the slope |f_i'(beta_i)| of species i's scaled
-    law at its cap, so each species is preconditioned on its own density
-    scale.
-    """
-    return [lam * a * c * h2 for a, c in map(fam._scale, range(1, fam.k + 1))]
 
 
 def _rowsum(X: np.ndarray) -> np.ndarray:
@@ -349,6 +339,25 @@ def _projected_step(obj, U, E, grad, D, caps, null_ok):
     return U_new, E_new, LU_new, how, evals
 
 
+def _split_wall(out, t0) -> list:
+    """Give each result of a batch started at ``t0`` its share of the
+    batch's wall time, in proportion to its iterations."""
+    wall = time.perf_counter() - t0
+    done = [res for res in out if isinstance(res, MinimizeResult)]
+    total_iters = sum(res.iters for res in done)
+    for res in done:
+        res.seconds = wall * res.iters / total_iters
+    return out
+
+
+def _only(results) -> MinimizeResult:
+    """The result of a one-system batch; a failed solve raises its error."""
+    res, = results
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
 def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
     """Projected truncated Newton descent on the full coupled energy of
     each of a list of systems, advanced as one (m, k, n) stack.
@@ -376,7 +385,7 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
     box = _ops(obj.mask).box_solver()
     h2 = obj.h2
     caps = np.stack([s.fam.betas for s in ordered])[:, :, None]
-    shifts = np.array([_h1_shifts(s.fam, s.lam, h2) for s in ordered])
+    shifts = obj.shifts()
     tol_res = [cfg.tol_residual if cfg.tol_residual is not None
                else 1e-6 * s.lam for s in ordered]
     U = np.clip(np.stack([s.stacked() for s in ordered]), 0.0, caps)
@@ -451,22 +460,14 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
             start_label=labels[order[b]], residual=residual[b],
             energies=np.array(energies[b]), stop_reason=stop_reason[b],
             evals=evals[b], cg_iters=cg_iters[b])
-    wall = time.perf_counter() - t0
-    total_iters = sum(iters)
-    for res in out:
-        if isinstance(res, MinimizeResult):
-            res.seconds = wall * res.iters / total_iters
-    return out
+    return _split_wall(out, t0)
 
 
 def minimize_free(sys0: SpeciesSystem, cfg: SolverConfig,
                   start_label: str = "custom") -> MinimizeResult:
     """Projected truncated Newton descent on the full coupled energy: the
     one-system case of ``minimize_free_many``."""
-    res, = minimize_free_many([sys0], cfg, [start_label])
-    if isinstance(res, Exception):
-        raise res
-    return res
+    return _only(minimize_free_many([sys0], cfg, [start_label]))
 
 
 def _distance_to_boundary(mask: DomainMask) -> np.ndarray:
@@ -726,7 +727,7 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
     U = segregation_projection(np.clip(np.stack([s.stacked() for s in systems]),
                                        0.0, caps)).reshape(B * k, 1, n)
     caps = caps.reshape(B * k, 1, 1)
-    shifts = np.array([_h1_shifts(s.fam, s.lam, h2) for s in systems]).ravel()
+    shifts = obj.shifts()
     Es, LU = obj.value(U)   # per-species energies, L @ U
     E = Es.reshape(B, k).sum(axis=1).tolist()
 
@@ -806,22 +807,14 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
             residual=_projected_residual(Ub[:, 0], grad, sys0.fam.betas[:, None]),
             energies=np.array(energies[b]), stop_reason=stop_reason[b],
             evals=evals[b]))
-    wall = time.perf_counter() - t0
-    total_iters = sum(iters)
-    for res in out:
-        if isinstance(res, MinimizeResult):
-            res.seconds = wall * res.iters / total_iters
-    return out
+    return _split_wall(out, t0)
 
 
 def minimize_partition(sys0: SpeciesSystem, cfg: SolverConfig,
                        start_label: str = "custom") -> MinimizeResult:
     """Alternating descent/projection scheme for the segregated problem:
     the one-system case of ``minimize_partition_many``."""
-    res, = minimize_partition_many([sys0], cfg, [start_label])
-    if isinstance(res, Exception):
-        raise res
-    return res
+    return _only(minimize_partition_many([sys0], cfg, [start_label]))
 
 
 def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):

@@ -8,7 +8,7 @@ from competelab.energy import (DensityField, Objective, SpeciesSystem,
                                laplacian, rescaled_copy, single_species_energy)
 from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
                                  build_wedge)
-from competelab.model import (F_eval, ScaledFamily, coupling_quartic,
+from competelab.model import (LawStack, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
 from competelab.solve import segregation_projection
 
@@ -62,13 +62,13 @@ def make_system(mask, k, lam, kappa, eps=None, rng=None, fill="random"):
 def dense_energy_oracle(sys):
     """Direct evaluation on the zero-extended dense grids (independent path)."""
     h = sys.mask.h
+    dense = np.stack([f.to_grid() for f in sys.fields])
+    F = LawStack.of([sys.fam]).F(dense.reshape(1, sys.k, -1))[0]
     e = 0.0
-    for i, f in enumerate(sys.fields, start=1):
-        d = f.to_grid()
+    for d, Fd in zip(dense, F):
         e += 0.5 * (np.sum(np.diff(d, axis=0) ** 2) + np.sum(np.diff(d, axis=1) ** 2))
-        e -= sys.lam * h * h * np.sum(F_eval(sys.fam, i, d))
+        e -= sys.lam * h * h * np.sum(Fd)
     if sys.coupling is not None and sys.k > 1:
-        dense = np.stack([f.to_grid() for f in sys.fields])
         e += sys.kappa * h * h * np.sum(sys.coupling.H(dense))
     return e
 
@@ -268,18 +268,18 @@ class TestObjective:
                              ids=["square", "disc", "wedge"])
     def test_value_and_grad_match(self, build, k, kappa):
         sys = make_system(build(), k, 90.0, kappa, rng=np.random.default_rng(k))
-        obj = Objective.of(sys)
+        obj = Objective.many([sys])
         U = sys.stacked()
-        E, LU = obj.value(U)
-        assert E == pytest.approx(energy_total(sys).total, rel=1e-12)
-        assert np.array_equal(obj.grad(U, LU), energy_gradient(sys))
+        E, LU = obj.value(U[None])
+        assert E[0] == pytest.approx(energy_total(sys).total, rel=1e-12)
+        assert np.array_equal(obj.grad(U[None], LU)[0], energy_gradient(sys))
         L = csr_laplacian(sys.mask)
-        assert np.array_equal(LU, np.stack([L @ u for u in U]))
+        assert np.array_equal(LU[0], np.stack([L @ u for u in U]))
 
     @pytest.mark.parametrize("k,kappa", SEAM_CASES)
     def test_report_is_energy_total(self, k, kappa):
         sys = make_system(build_disc(0.8, 0.05), k, 90.0, kappa)
-        rep, ref = Objective.of(sys).report(sys.stacked()), energy_total(sys)
+        rep, ref = Objective.many([sys]).report(sys.stacked()), energy_total(sys)
         assert rep.total == ref.total
         assert rep.interaction == ref.interaction
         assert np.array_equal(rep.dirichlet, ref.dirichlet)
@@ -287,23 +287,51 @@ class TestObjective:
 
     def test_species_terms_are_single_species_energy(self):
         sys = make_system(build_wedge(2.0, 0.05), 3, 70.0, 15.0)
-        obj = Objective(sys.mask, sys.fam, sys.lam)
+        E, LU = Objective.species_of([sys]).value(sys.stacked()[:, None])
         L = csr_laplacian(sys.mask)
         for i, f in enumerate(sys.fields):
-            e, Lv = obj.species(f.values, i)
-            assert e == single_species_energy(f, i + 1, sys.fam, sys.lam)
-            assert np.array_equal(Lv, L @ f.values)
+            assert E[i] == single_species_energy(f, i + 1, sys.fam, sys.lam)
+            assert np.array_equal(LU[i, 0], L @ f.values)
 
     def test_uncoupled_objective_ignores_kappa(self):
         sys = make_system(build_rectangle(1, 1, 0.1), 2, 90.0, 300.0)
-        U = sys.stacked()
-        bare = Objective(sys.mask, sys.fam, sys.lam)
+        U = sys.stacked()[None]
+        bare = Objective.many([SpeciesSystem(sys.fields, sys.fam, None,
+                                             sys.lam)])
         E, LU = bare.value(U)
-        assert E == sum(bare.species(u, i)[0] for i, u in enumerate(U))
-        coupled = Objective.of(sys)
-        assert coupled.value(U)[0] > E
-        assert np.array_equal(bare.grad(U, LU) + 300.0 * sys.coupling.dH(U),
+        Es, _ = Objective.species_of([sys]).value(U.reshape(2, 1, -1))
+        assert E[0] == sum(Es.tolist())
+        coupled = Objective.many([sys])
+        assert coupled.value(U)[0][0] > E[0]
+        assert np.array_equal(bare.grad(U, LU) + 300.0 * sys.coupling.dH(U[0]),
                               coupled.grad(U, LU))
+
+    def test_report_shows_the_interaction_at_zero_kappa(self):
+        # A coupling at kappa = 0 is reported but does not enter the total.
+        sys = make_system(build_disc(0.8, 0.05), 2, 90.0, 0.0)
+        rep = energy_total(sys)
+        assert rep.interaction > 0
+        assert rep.total == rep.dirichlet.sum() - rep.potential.sum()
+
+    def test_shifts_are_the_slopes_at_the_caps(self):
+        # s_i h^2 = lam a_i c_i h^2 with (a_i, c_i) = (1, 1) for species 1
+        # and (1/(sqrt(k) eps_i), sqrt(k)/eps_i) beyond it.
+        mask, base = build_wedge(2.0, 0.05), logistic()
+        fields = [DensityField.zeros(mask)] * 3
+        systems = [SpeciesSystem(fields, scaled_family(base, 3, eps), None, lam)
+                   for lam, eps in ((90.0, (0.4, 0.7)), (130.0, (0.3, 0.2)),
+                                    (70.0, (0.9, 0.05)))]
+        h2, root = mask.h ** 2, np.sqrt(3)
+        want = [[s.lam * a * c * h2 for a, c in
+                 [(1.0, 1.0)] + [(1.0 / (root * e), root / e)
+                                 for e in s.fam.eps]]
+                for s in systems]
+        stacked = Objective.many(systems).shifts()
+        assert stacked.shape == (3, 3, 1)
+        assert stacked[:, :, 0].tolist() == want
+        species = Objective.species_of(systems).shifts()
+        assert species.shape == (9, 1, 1)
+        assert species.ravel().tolist() == sum(want, [])
 
 
     @pytest.mark.parametrize("k,kappa", [(1, 0.0), (2, 0.0), (2, 250.0),
@@ -316,20 +344,20 @@ class TestObjective:
         # so central differences of grad are second-order accurate.
         sys = make_system(build(), k, 90.0, kappa, eps=(0.4, 0.7)[:k - 1],
                           rng=np.random.default_rng(10 + k))
-        obj = Objective.of(sys)
+        obj = Objective.many([sys])
         U = sys.stacked()
         V = np.random.default_rng(k).normal(size=U.shape) * sys.fam.betas[:, None]
         t = 1e-6
         L = csr_laplacian(sys.mask)
-        grad = lambda W: obj.grad(W, np.stack([L @ w for w in W]))
+        grad = lambda W: obj.grad(W[None], np.stack([L @ w for w in W])[None])[0]
         fd = (grad(U + t * V) - grad(U - t * V)) / (2 * t)
-        HV = obj.hessian(U)(V)
+        HV = obj.hessian(U[None])(V[None])[0]
         assert np.max(np.abs(HV - fd)) <= 1e-6 * np.max(np.abs(HV))
 
     def test_hessp_is_symmetric(self):
         sys = make_system(build_wedge(2.0, 0.05), 3, 90.0, 40.0)
-        obj = Objective.of(sys)
-        U = sys.stacked()
+        obj = Objective.many([sys])
+        U = sys.stacked()[None]
         rng = np.random.default_rng(5)
         V, W = rng.normal(size=U.shape), rng.normal(size=U.shape)
         hess = obj.hessian(U)
@@ -342,8 +370,9 @@ class TestObjective:
         # to the same V or after another V, gives the same bits.
         sys = make_system(build_wedge(2.0, 0.05), k, 90.0, kappa,
                           eps=(0.4, 0.7)[:k - 1])
-        hess = Objective.of(sys).hessian(sys.stacked())
-        V, W = np.random.default_rng(6).normal(size=(2, k, sys.mask.n_interior))
+        hess = Objective.many([sys]).hessian(sys.stacked()[None])
+        V, W = np.random.default_rng(6).normal(
+            size=(2, 1, k, sys.mask.n_interior))
         first = hess(V)
         hess(W)
         assert np.array_equal(hess(V), first)

@@ -3,9 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from competelab.model import (F_eval, ScaledFamily, coupling_quartic,
-                              cutoff_phi, df_eval, f_eval, identical_family,
-                              logistic, scaled_family)
+from competelab.model import (LawStack, ScaledFamily, coupling_quartic,
+                              cutoff_phi, identical_family, logistic,
+                              scaled_family)
+
+
+def law(fam, name, i, s):
+    """Law ``name`` ("f", "df" or "F") of species i (1-based) at s, from the
+    family's ``LawStack``: s is given to every species' row, and row i is
+    read back."""
+    s = np.asarray(s, dtype=float)
+    S = np.broadcast_to(s.reshape(1, 1, -1), (1, fam.k, s.size))
+    return getattr(LawStack.of([fam]), name)(S)[0, i - 1].reshape(s.shape)[()]
 
 
 def composite_simpson(f, a, b, n=4096):
@@ -38,7 +47,7 @@ class TestLogistic:
 
     def test_first_species_potential(self):
         fam = ScaledFamily(base=logistic(), k=2, eps=(0.5,))
-        assert F_eval(fam, 1, 1.0) == pytest.approx(1 / 6)
+        assert law(fam, "F", 1, 1.0) == pytest.approx(1 / 6)
 
 
 class TestScaledFamily:
@@ -53,20 +62,20 @@ class TestScaledFamily:
         fam = scaled_family(logistic(), 4, (0.5, 0.25, 1 / 7))
         for i in (2, 3, 4):
             bi = fam.betas[i - 1]
-            assert f_eval(fam, i, bi) == pytest.approx(0.0, abs=1e-15)
-            assert f_eval(fam, i, 2 * bi) < 0
-            assert f_eval(fam, i, 0.5 * bi) > 0
+            assert law(fam, "f", i, bi) == pytest.approx(0.0, abs=1e-15)
+            assert law(fam, "f", i, 2 * bi) < 0
+            assert law(fam, "f", i, 0.5 * bi) > 0
 
     def test_potential_at_cap_is_alpha_over_k(self):
         fam = scaled_family(logistic(), 4, (0.5, 0.25, 1 / 7))
         for i in (2, 3, 4):
-            assert F_eval(fam, i, fam.betas[i - 1]) == pytest.approx(
+            assert law(fam, "F", i, fam.betas[i - 1]) == pytest.approx(
                 fam.base.alpha / 4, abs=1e-15)
 
     def test_integral_oracle(self):
         fam = scaled_family(logistic(), 4, (0.5, 0.25, 1 / 7))
         b2 = fam.betas[1]
-        val = composite_simpson(lambda s: f_eval(fam, 2, s), 0.0, b2)
+        val = composite_simpson(lambda s: law(fam, "f", 2, s), 0.0, b2)
         assert val == pytest.approx(fam.base.alpha / 4, abs=1e-8)
 
     def test_closed_form_matches_quadrature(self):
@@ -75,14 +84,14 @@ class TestScaledFamily:
         for i in (1, 2, 3):
             cap = fam.betas[i - 1]
             for s in rng.uniform(0.0, 2 * cap, 34):
-                quad = composite_simpson(lambda t: f_eval(fam, i, t), 0.0, s, 64)
-                assert F_eval(fam, i, float(s)) == pytest.approx(quad, abs=1e-9)
+                quad = composite_simpson(lambda t: law(fam, "f", i, t), 0.0, s, 64)
+                assert law(fam, "F", i, float(s)) == pytest.approx(quad, abs=1e-9)
 
     def test_vanishes_on_negatives(self):
         fam = scaled_family(logistic(), 3, (0.5, 0.1))
         for i in (1, 2, 3):
-            assert f_eval(fam, i, -0.3) == 0.0
-            assert F_eval(fam, i, -0.3) == 0.0
+            assert law(fam, "f", i, -0.3) == 0.0
+            assert law(fam, "F", i, -0.3) == 0.0
 
     @given(st.floats(-0.5, 1.5), st.sampled_from([0.9, 0.5, 0.25, 0.1, 0.03]))
     @settings(max_examples=200, deadline=None)
@@ -90,8 +99,8 @@ class TestScaledFamily:
         k = 3
         fam = scaled_family(logistic(), k, (eps, eps))
         c = np.sqrt(k) / eps
-        ref = (1.0 / (np.sqrt(k) * eps)) * f_eval(fam, 1, c * s)
-        assert f_eval(fam, 2, s) == ref
+        ref = (1.0 / (np.sqrt(k) * eps)) * law(fam, "f", 1, c * s)
+        assert law(fam, "f", 2, s) == ref
 
     def test_caps_shrink_with_eps(self):
         caps = [scaled_family(logistic(), 2, (e,)).betas[1]
@@ -103,14 +112,14 @@ class TestScaledFamily:
         assert np.all(fam.betas == 1.0)
         s = np.linspace(-1, 2, 31)
         for i in (1, 2, 3):
-            assert np.array_equal(f_eval(fam, i, s), logistic().g(s))
+            assert np.array_equal(law(fam, "f", i, s), logistic().g(s))
 
     def test_index_out_of_range(self):
         fam = scaled_family(logistic(), 2, (0.5,))
         with pytest.raises(IndexError):
-            f_eval(fam, 0, 0.5)
+            fam._scale(0)
         with pytest.raises(IndexError):
-            f_eval(fam, 3, 0.5)
+            fam._scale(3)
 
     def test_bad_scales(self):
         with pytest.raises(ValueError):
@@ -183,8 +192,8 @@ class TestSecondDerivatives:
         fam = scaled_family(logistic(), 3, (0.4, 0.7))
         s = np.linspace(0.05, 0.95, 19) * fam.betas[i - 1]
         t = 1e-7
-        fd = (f_eval(fam, i, s + t) - f_eval(fam, i, s - t)) / (2 * t)
-        assert np.allclose(df_eval(fam, i, s), fd, rtol=0, atol=1e-6)
+        fd = (law(fam, "f", i, s + t) - law(fam, "f", i, s - t)) / (2 * t)
+        assert np.allclose(law(fam, "df", i, s), fd, rtol=0, atol=1e-6)
 
 
 class TestCutoff:

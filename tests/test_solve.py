@@ -12,8 +12,7 @@ from competelab.model import (Nonlinearity, ScaledFamily, coupling_quartic,
                               identical_family, logistic, scaled_family)
 from competelab import solve
 from competelab.solve import (BATCH_VALUES, STEP, SolverConfig,
-                              _distance_to_boundary, _h1_shifts,
-                              _newton_direction, _projected_step, alive_flags,
+                              _distance_to_boundary, _newton_direction, _projected_step, alive_flags,
                               batch_runs, default_initializers,
                               kappa_continuation, merged_system, minimize_free,
                               minimize_free_many, minimize_multistart,
@@ -243,20 +242,18 @@ class TestNewtonStep:
         mask = build_disc(1.0, 1 / 32)
         fam = single_fam()
         h2, lam = mask.h ** 2, 200.0
-        U = np.full((1, mask.n_interior), 1e-3)
-        sys0 = zero_system(mask, fam, lam).replace_values(U)
-        obj, box = Objective.of(sys0), _ops(mask).box_solver()
-        caps = fam.betas[:, None]
+        U = np.full((1, 1, mask.n_interior), 1e-3)
+        sys0 = zero_system(mask, fam, lam).replace_values(U[0])
+        obj, box = Objective.many([sys0]), _ops(mask).box_solver()
+        caps = fam.betas[None, :, None]
         E, LU = obj.value(U)
         grad = obj.grad(U, LU)
-        shifts = _h1_shifts(fam, lam, h2)
-        _, cg, flagged, _ = _newton_direction(obj, box, U[None], grad[None],
-                                              caps[None], np.array([shifts]))
+        shifts = obj.shifts()
+        _, cg, flagged, _ = _newton_direction(obj, box, U, grad, caps, shifts)
         assert cg == [1] and flagged == [True]
         D = -h2 * box.solve(grad, shifts)
-        U_h1, E_h1, _, how, _ = _projected_step(
-            obj, U[None], np.array([E]), grad[None], D[None], caps[None],
-            null_ok=[False])
+        U_h1, E_h1, _, how, _ = _projected_step(obj, U, E, grad, D, caps,
+                                                null_ok=[False])
         assert how == [STEP]
         res = minimize_free(sys0, SolverConfig(max_iters=1))
         assert np.array_equal(res.system.stacked(), U_h1[0])
