@@ -213,7 +213,7 @@ def cmd_minimize(args, partition: bool = False) -> int:
         kappa=0.0 if partition else norm["kappa"], cfg=solver,
         partition=partition, warn=say)
     records = [lab.record_from_result(
-        "minimize", mask, res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
+        "minimize", res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
         verdict="best" if res is best else "") for res in results]
     lab.write_run(outdir, records, texts={
         "config.json": json.dumps(norm, indent=1, sort_keys=True)})
@@ -250,41 +250,41 @@ def _eig_args(cfg: dict) -> tuple:
             _number(cfg, "rel_tol", 0.01))
 
 
-# Experiment name -> (config keys, runner(cfg, solver, say) -> verdict).
+# Experiment name -> (config keys, runner(cfg, solver) -> verdict).
 # The solver config is parsed only for experiments whose keys include it.
 VERIFY = {
     "extinction": (
         {"domain", "k", "lambda", "solver"},
-        lambda cfg, solver, say: lab.verify_extinction_identical(
+        lambda cfg, solver: lab.verify_extinction_identical(
             _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
             solver)),
     "eps-threshold": (
         {"domain", "k", "lambda", "kappa", "eps_grid", "solver"},
-        lambda cfg, solver, say: lab.scan_epsilon_threshold(
+        lambda cfg, solver: lab.scan_epsilon_threshold(
             _domain(cfg), _integer(cfg, "k", 2), _number(cfg, "lambda"),
             _number(cfg, "kappa"), _numbers(cfg, "eps_grid"), solver)),
     "limiti": (
         {"domain", "lambdas", "solver"},
-        lambda cfg, solver, say: lab.verify_limiti_asymptotics(
+        lambda cfg, solver: lab.verify_limiti_asymptotics(
             _domain(cfg), _numbers(cfg, "lambdas"), solver)),
     "wedge-bound": (
         {"m", "lambda", "h", "solver"},
-        lambda cfg, solver, say: lab.verify_wedge_bound(
+        lambda cfg, solver: lab.verify_wedge_bound(
             _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
             solver)),
     "cutoff": (
         {"m", "lambda", "h", "deltas", "solver"},
-        lambda cfg, solver, say: lab.verify_cutoff_scaling(
+        lambda cfg, solver: lab.verify_cutoff_scaling(
             _number(cfg, "m", 2.0), _number(cfg, "lambda"), _number(cfg, "h"),
             _numbers(cfg, "deltas"), solver)),
     "system2": (
         {"domain", "lambda", "eps2", "kappa_schedule", "solver"},
-        lambda cfg, solver, say: lab.verify_system2(
+        lambda cfg, solver: lab.verify_system2(
             _domain(cfg), _number(cfg, "lambda"), _number(cfg, "eps2"),
             _numbers(cfg, "kappa_schedule"), solver)),
     "eig": (
         {"domain", "reference", "rel_tol"},
-        lambda cfg, solver, say: lab.verify_eigenvalue(*_eig_args(cfg))),
+        lambda cfg, solver: lab.verify_eigenvalue(*_eig_args(cfg))),
 }
 
 
@@ -296,7 +296,7 @@ def cmd_verify(args) -> int:
     keys, runner = VERIFY[name]
     cfg, solver, outdir = read_config(args, keys, f"{name} config")
     say = (lambda *a: None) if args.quiet else print
-    verdict = runner(cfg, solver, say)
+    verdict = runner(cfg, solver)
     lab.write_verdict(verdict, outdir)
 
     say(f"{verdict.experiment}: {verdict.status}")

@@ -493,9 +493,7 @@ def single_species_energy(field: DensityField, i: int, fam: ScaledFamily,
                           lam: float) -> float:
     """J-energy of species i (1-based) alone: Dirichlet minus its potential
     term, the energy of its row of an ``Objective.species_of`` stack."""
-    laws = LawStack.of([fam])
-    obj = Objective(field.mask, LawStack(fam.base, laws.a[0, i - 1],
-                                         laws.c[0, i - 1]),
+    obj = Objective(field.mask, LawStack(fam.base, *fam._scale(i)),
                     np.array([lam], dtype=float), None, np.zeros(1), 0)
     return float(obj.value(field.values[None, None])[0][0])
 

@@ -28,8 +28,7 @@ from .geometry import (DomainMask, SPACE_DIM, build_disc, build_rectangle,
 from .model import ScaledFamily, coupling_quartic, cutoff_phi, identical_family, logistic
 from .solve import (MinimizeResult, SolverConfig, batch_runs,
                     default_initializers, kappa_continuation, merged_system,
-                    minimize_free_many, minimize_multistart,
-                    segregation_projection)
+                    minimize_multistart, segregation_projection, solve_starts)
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
@@ -151,9 +150,9 @@ def build_domain(spec: dict) -> DomainMask:
                                      for key, d in defaults.items()))
 
 
-def record_from_result(experiment: str, mask: DomainMask, res: MinimizeResult,
-                       seed: int, wall_time: float, eps=(), verdict="") -> RunRecord:
-    rep = res.report
+def record_from_result(experiment: str, res: MinimizeResult, seed: int,
+                       wall_time: float, eps=(), verdict="") -> RunRecord:
+    rep, mask = res.report, res.system.mask
     return RunRecord(
         experiment=experiment, domain=domain_label(mask), h=mask.h,
         k=res.system.k, lam=res.system.lam, kappa=res.system.kappa,
@@ -256,7 +255,7 @@ def verify_extinction_identical(mask: DomainMask, k: int, lam: float,
         if is_best and res.alive_count > 1:
             best_single = False
         records.append(record_from_result(
-            "extinction", mask, res, cfg.seed, res.seconds,
+            "extinction", res, cfg.seed, res.seconds,
             verdict="best" if is_best else ""))
 
     status = PASS if (best_single and merge_ok) else FAIL
@@ -306,7 +305,7 @@ def verify_limiti_asymptotics(mask: DomainMask, lam_list,
         t0 = time.perf_counter()
         best, _ = minimize_multistart(mask, _SINGLE, lam, cfg=cfg)
         values.append(best.energy / lam)
-        records.append(record_from_result("limiti", mask, best, cfg.seed,
+        records.append(record_from_result("limiti", best, cfg.seed,
                                           time.perf_counter() - t0))
 
     lower_ok = all(v >= target * 1.01 for v in values)
@@ -366,7 +365,7 @@ def verify_wedge_bound(m: float, lam: float, h: float,
     chk = check_wedge_bound(u, m, lam, _LOGISTIC.gmax)
     box_ok = bool(np.all(u.values >= 0) and np.all(u.values <= _LOGISTIC.beta))
     status = PASS if (chk["ok"] and box_ok) else FAIL
-    rec = record_from_result("wedge-bound", mask, minimizer, cfg.seed,
+    rec = record_from_result("wedge-bound", minimizer, cfg.seed,
                              time.perf_counter() - t0, verdict=status)
     return LabVerdict("wedge-bound", status, details={
         "m": m, "lam": lam, "h": mask.h, "gamma": chk["gamma"],
@@ -427,7 +426,7 @@ def verify_cutoff_scaling(m: float, lam: float, h: float, deltas,
     else:
         details["slope"] = None
         status = INCONCLUSIVE
-    rec = record_from_result("cutoff", mask, minimizer, cfg.seed,
+    rec = record_from_result("cutoff", minimizer, cfg.seed,
                              time.perf_counter() - t0, verdict=status)
     return LabVerdict("cutoff", status, details=details, records=[rec])
 
@@ -462,7 +461,7 @@ def scan_epsilon_threshold(mask: DomainMask, k: int, lam: float, kappa: float,
             coexisting.append(eps)
         j1_values.append(single_species_energy(best.system.fields[0], 1,
                                                fam, lam))
-        rec = record_from_result("eps-threshold", mask, best, cfg.seed,
+        rec = record_from_result("eps-threshold", best, cfg.seed,
                                  time.perf_counter() - t0, eps=(eps,) * (k - 1),
                                  verdict="coexist" if full else "extinct")
         records.append(rec)
@@ -509,10 +508,10 @@ def verify_system2(mask: DomainMask, lam: float, eps2: float, kappa_schedule,
     lam_estimates = [r.energy for r in results]
     overlaps = [r.report.interaction for r in results]
 
-    records = [record_from_result("system2", mask, r, cfg.seed, r.seconds,
+    records = [record_from_result("system2", r, cfg.seed, r.seconds,
                                   eps=(eps2,))
                for r in results]
-    records.append(record_from_result("system2", mask, part_best, cfg.seed,
+    records.append(record_from_result("system2", part_best, cfg.seed,
                                       part_best.seconds, eps=(eps2,),
                                       verdict="partition"))
 
@@ -640,10 +639,9 @@ def sweep_tasks(groups, sizes, jobs: int) -> list:
 def run_sweep_task(domain_spec: dict, k: int, groups,
                    cfg: SolverConfig) -> list:
     """A run of (lam, eps) groups of one sweep grid, given as (lam, eps,
-    kappas) triples, solved in one batch.  Returns, per group, the outcome
-    of each of its kappas in order (the record of its multistart free
-    minimization, or the exception that failed it), or the exception that
-    failed the group before any of its points ran.
+    kappas) triples.  Returns, per group, the outcome of each of its kappas
+    in order: the record of its multistart free minimization, or the error
+    of a solve it used.
 
     The mask is built once, and each group's default starts once.  A start
     with at most one nonzero species is solved once, uncoupled (kappa = 0):
@@ -651,81 +649,64 @@ def run_sweep_task(domain_spec: dict, k: int, groups,
     solve, so its minimizer does not depend on kappa, and each kappa
     re-reports it under its own system (the interaction is exactly 0).  The
     other starts are solved at each kappa.  Every solve of every group goes
-    to one ``minimize_free_many`` call, and a failed solve fails only the
-    points that use it.  Results keep the start order, so the best start
-    breaks ties as ``minimize_multistart`` does.  A point's wall time covers
-    its own solves (each its share of the batch's time,
-    ``MinimizeResult.seconds``), its own reporting, and the shared work it
-    ran: the group's initializers go to its first point, each lone solve to
-    the first point that used it.
+    to one ``solve_starts`` call, which batches them as a multistart's, and
+    a failed solve fails only the points that use it.  Results keep the
+    start order, so the best start breaks ties as ``minimize_multistart``
+    does.  A point's wall time covers its own solves (each its share of its
+    batch's time, ``MinimizeResult.seconds``), its own reporting, and the
+    shared work it ran: the group's initializers go to its first point,
+    each lone solve to the first point that used it.
     """
     mask = build_domain(domain_spec)
     coupling = coupling_quartic(k) if k > 1 else None
-    systems, labels, plans = [], [], []
+    task_starts, plans = [], []   # the (label, system) of every solve
 
     def add(system, label) -> int:
-        systems.append(system)
-        labels.append(label)
-        return len(systems) - 1
+        task_starts.append((label, system))
+        return len(task_starts) - 1
 
     for lam, eps, kappas in groups:
         t0 = time.perf_counter()
-        try:
-            fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
-            starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
-        except Exception as exc:
-            plans.append(exc)
-            continue
+        fam = ScaledFamily(base=_LOGISTIC, k=k, eps=eps)
+        starts = default_initializers(mask, fam, lam, coupling, 0.0, cfg)
         lone = {i: add(sys0, label) for i, (label, sys0) in enumerate(starts)
                 if np.count_nonzero(sys0.stacked().any(axis=1)) <= 1}
         points = []   # per kappa: its system and, per start, the solve to use
         for kappa in kappas:
-            try:
-                at_kappa = partial(SpeciesSystem, fam=fam, coupling=coupling,
-                                   lam=lam, kappa=kappa)
-                points.append((at_kappa(starts[0][1].fields), [
-                    lone[i] if i in lone else add(at_kappa(sys0.fields), label)
-                    for i, (label, sys0) in enumerate(starts)]))
-            except Exception as exc:
-                points.append(exc)
+            at_kappa = partial(SpeciesSystem, fam=fam, coupling=coupling,
+                               lam=lam, kappa=kappa)
+            points.append((at_kappa(starts[0][1].fields), [
+                lone[i] if i in lone else add(at_kappa(sys0.fields), label)
+                for i, (label, sys0) in enumerate(starts)]))
         plans.append((eps, set(lone.values()), points,
                       time.perf_counter() - t0))
 
-    results = minimize_free_many(systems, cfg, labels) if systems else []
+    results = solve_starts(task_starts, cfg)
     out = []
-    for plan in plans:
-        if isinstance(plan, Exception):
-            out.append(plan)
-            continue
-        eps, lone_solves, points, shared = plan
+    for eps, lone_solves, points, shared in plans:
         outcomes, charged = [], set()
-        for point in points:
+        for system, solves in points:
             t0 = time.perf_counter()
-            try:
-                if isinstance(point, Exception):
-                    raise point
-                system, solves = point
-                found = []
-                for j in solves:
-                    res = results[j]
-                    if isinstance(res, Exception):
-                        raise res
-                    if j in lone_solves:   # re-reported under this kappa
-                        final = system.replace_values(res.system.stacked())
-                        res = replace(res, system=final,
-                                      report=energy_total(final))
-                    found.append(res)
-                best = min(found, key=lambda r: r.energy)
-                own = set(solves) - charged
-                charged |= own
-                wall = shared + sum(results[j].seconds for j in own)
-                outcomes.append(record_from_result(
-                    "sweep", mask, best, cfg.seed,
-                    wall + time.perf_counter() - t0, eps=eps,
-                    verdict="coexist" if best.alive_count == k else "extinct"))
-            except Exception as exc:
-                outcomes.append(exc)
-            shared = 0.0
+            wall, shared = shared, 0.0
+            failed = [results[j] for j in solves
+                      if isinstance(results[j], Exception)]
+            if failed:
+                outcomes.append(failed[0])
+                continue
+            found = []
+            for j in solves:
+                res = results[j]
+                if j in lone_solves:   # re-reported under this kappa
+                    final = system.replace_values(res.system.stacked())
+                    res = replace(res, system=final, report=energy_total(final))
+                found.append(res)
+            best = min(found, key=lambda r: r.energy)
+            own = set(solves) - charged
+            charged |= own
+            wall += sum(results[j].seconds for j in own)
+            outcomes.append(record_from_result(
+                "sweep", best, cfg.seed, wall + time.perf_counter() - t0, eps=eps,
+                verdict="coexist" if best.alive_count == k else "extinct"))
         out.append(outcomes)
     return out
 
@@ -734,14 +715,16 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     """Execute a sweep grid with resume support and bounded parallelism.
 
     The grid's (lam, eps) groups, each with its kappas still to compute,
-    are cut into tasks by ``sweep_tasks``; a task solves its groups in one
-    batch (``run_sweep_task``), and the pool runs one task per worker at a
-    time on min(jobs, tasks) workers.  A coordinate is done exactly when the
-    results CSV holds its row.  The lone-species solves a group shares are
-    uncoupled whichever kappas it computes, so a resumed sweep reproduces a
-    fresh one bit for bit.  A failing kappa fails alone.  The results CSV
-    is atomically rewritten after every task that completed a record, so
-    an interrupted sweep never leaves a partial row.
+    are cut into tasks by ``sweep_tasks``; a task hands its groups' solves
+    to one ``solve_starts`` call (``run_sweep_task``), and the pool runs one
+    task per worker at a time on min(jobs, tasks) workers.  A coordinate is
+    done exactly when the results CSV holds its row.  The lone-species
+    solves a group shares are uncoupled whichever kappas it computes, so a
+    resumed sweep reproduces a fresh one bit for bit.  A point fails only
+    when a solve it used returned an error, so a failing kappa fails alone;
+    anything a task raises fails that task's points.  The results CSV is
+    atomically rewritten after every task that completed a record, so an
+    interrupted sweep never leaves a partial row.
     """
     os.makedirs(spec.outdir, exist_ok=True)
     results_path = os.path.join(spec.outdir, "results.csv")
@@ -779,10 +762,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, log=print) -> dict:
     for task, result in outcomes():
         try:
             done = result()
-        except Exception as exc:   # the task failed before any point ran
-            done = [exc] * len(task)
-        done = [group if isinstance(group, list) else [group] * len(kappas)
-                for group, (_, _, kappas) in zip(done, task)]
+        except Exception as exc:   # the task failed: so do all its points
+            done = [[exc] * len(kappas) for _, _, kappas in task]
         new = [rec for group in done for rec in group
                if isinstance(rec, RunRecord)]
         for rec in new:

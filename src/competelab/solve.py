@@ -64,10 +64,10 @@ per-call cost dominates on small masks.  The partition minimizer does
 the same with the m k species of m systems as the rows of one
 (m k, 1, n) stack (``minimize_partition_many``; ``minimize_partition``
 is its one-system case), each system with its own energy, stall counter
-and stop.  A multistart hands its starts to ``solve_starts``, which
-solves them in runs of at most BATCH_VALUES stacked values, one batched
-call per run (criterion 7's fine disc scan thus solves one start at a
-time).  A batch's wall time is split over its solves in proportion to
+and stop.  A multistart hands its starts, and a sweep task all of its
+groups' solves, to ``solve_starts``, which solves them in runs of at
+most BATCH_VALUES stacked values, one batched call per run (criterion
+7's fine disc scan thus solves one start at a time).  A batch's wall time is split over its solves in proportion to
 their iterations, so a result's ``seconds`` is a measured share, not a
 timing of its own.  The records of ``minimize``, ``partition`` and
 ``extinction`` starts and ``system2``'s partition record carry such
@@ -396,7 +396,7 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
     evals, cg_iters, iters = [1] * B, [0] * B, [0] * B
     residual, converged = [np.inf] * B, [False] * B
     stop_reason, finals = ["max_iters"] * B, [None] * B
-    steps = [(rows, E)]   # the rows and energies of accepted iterates
+    energies = [[e] for e in E.tolist()]   # per system, its accepted iterates
 
     def shrink(keep):
         nonlocal rows, obj, U, E, LU, caps, shifts, tol_res
@@ -428,6 +428,7 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
             residual[b] = resnorm[j]
             if how[j] == STEP:
                 keep.append(j)
+                energies[b].append(E_new[j])
             else:
                 iters[b], finals[b] = it, U[j]
                 converged[b] = how[j] == FLAT or small[j]
@@ -439,14 +440,9 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
         U, E, LU = U_new, E_new, LU_new
         if len(keep) < len(rows):
             shrink(keep)
-        steps.append((rows, E))
     for j, b in enumerate(rows):   # these ran out of iterations
         iters[b], finals[b] = it, U[j]
 
-    energies = [[] for _ in range(B)]
-    for step_rows, step_E in steps:
-        for b, e in zip(step_rows, step_E.tolist()):
-            energies[b].append(e)
     out = [None] * B
     for b, sys0 in enumerate(ordered):
         if finals[b] is None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from competelab import lab
+from competelab import lab, solve
 from competelab.cli import (ConfigError, main, normalize_run_config,
                             parse_domain, parse_solver)
 
@@ -479,14 +479,14 @@ class TestSweepCommand:
     @staticmethod
     def fail_solves(monkeypatch, **at):
         """Make every free solve whose system has the ``at`` values fail."""
-        solve = lab.minimize_free_many
+        free_many = solve.minimize_free_many
 
         def failing(systems, *args, **kwargs):
-            results = solve(systems, *args, **kwargs)
+            results = free_many(systems, *args, **kwargs)
             return [RuntimeError(f"solve failed at {at}")
                     if all(getattr(sys, key) == v for key, v in at.items())
                     else res for sys, res in zip(systems, results)]
-        monkeypatch.setattr(lab, "minimize_free_many", failing)
+        monkeypatch.setattr(solve, "minimize_free_many", failing)
 
     def test_partial_completion_exits_2(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "sw")

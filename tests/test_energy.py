@@ -254,6 +254,15 @@ class TestSingleSpeciesEnergy:
                 J = single_species_energy(DensityField(mask, v), i, fam, lam)
                 assert J >= floor * 1.01
 
+    def test_species_index_out_of_range_raises(self):
+        mask = build_rectangle(1, 1, 1 / 4)
+        field = DensityField(mask, np.full(mask.n_interior, 0.1))
+        for k, eps in ((1, ()), (2, (0.5,))):
+            fam = scaled_family(logistic(), k, eps)
+            for i in (0, k + 1):
+                with pytest.raises(IndexError, match="out of range"):
+                    single_species_energy(field, i, fam, 50.0)
+
 
 SEAM_CASES = [(1, 0.0), (2, 0.0), (2, 250.0), (3, 40.0)]
 

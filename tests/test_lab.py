@@ -2,6 +2,7 @@ import os
 import string
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestRecords:
         from competelab.solve import minimize_multistart
         best, _ = minimize_multistart(mask, ScaledFamily(base=logistic(), k=1,
                                                          eps=()), 60.0, cfg=FAST)
-        rec = lab.record_from_result("smoke", mask, best, seed=5, wall_time=0.1,
+        rec = lab.record_from_result("smoke", best, seed=5, wall_time=0.1,
                                      verdict="best")
         path = tmp_path / "records.csv"
         lab.write_records_csv([rec], path)
@@ -302,11 +303,11 @@ class TestRecords:
         mask = build_rectangle(1, 1, 1 / 8)
         res = fake_result(mask, np.zeros(mask.n_interior))
         col = lab.CSV_COLUMNS.index("wall_time")
-        rec = lab.record_from_result("smoke", mask, res, 0, 0.123456789)
+        rec = lab.record_from_result("smoke", res, 0, 0.123456789)
         assert rec.to_row()[col] == "1.234568e-01"
         assert rec.wall_time == 0.1234568
         for t in (3e-7, 0.5, 2.0, 12345.678):
-            cell = lab.record_from_result("smoke", mask, res, 0, t).to_row()[col]
+            cell = lab.record_from_result("smoke", res, 0, t).to_row()[col]
             assert len(cell) == 12 and float(cell) == pytest.approx(t, rel=1e-6)
         path = tmp_path / "records.csv"
         lab.write_records_csv([rec], path)
@@ -385,12 +386,12 @@ class TestSweep:
             lam_grid=[60.0, 140.0], kappa_grid=[0.0, 200.0], eps_grid=[0.4],
             solver=SolverConfig(restarts=0), outdir=str(tmp_path / "sweep"))
         solves = []
-        solve = lab.minimize_free_many
+        free_many = solve.minimize_free_many
 
         def counted(systems, cfg, labels):
             solves.extend(labels)
-            return solve(systems, cfg, labels)
-        monkeypatch.setattr(lab, "minimize_free_many", counted)
+            return free_many(systems, cfg, labels)
+        monkeypatch.setattr(solve, "minimize_free_many", counted)
         out = lab.run_sweep(spec, log=lambda *_: None)
         assert out["completed"] == 4
         # per group: single and single-2 once, seeded and uniform per kappa
@@ -405,7 +406,7 @@ class TestSweep:
                                           coupling=coupling_quartic(2),
                                           kappa=rec.kappa, cfg=spec.solver)
             want = lab.record_from_result(
-                "sweep", mask, best, spec.solver.seed, 0.0, eps=(0.4,),
+                "sweep", best, spec.solver.seed, 0.0, eps=(0.4,),
                 verdict="coexist" if best.alive_count == 2 else "extinct")
             for name in ("start", "verdict", "alive", "iters", "converged"):
                 assert getattr(rec, name) == getattr(want, name)
@@ -414,6 +415,33 @@ class TestSweep:
                 for name in ("dirichlet", "potential", "interaction", "total",
                              "overlap"):
                     assert getattr(rec, name) == getattr(want, name)
+
+    def test_oversized_group_follows_the_batch_rule(self, tmp_path,
+                                                     monkeypatch):
+        # One (lam, eps) group of 10 systems of 2 x 441 values, against a
+        # batch of 4 such systems: the group's task is solved in 3 batches,
+        # each within the rule, and its records are those of one batch.
+        spec = lab.SweepSpec(
+            domain={"kind": "disc", "radius": 1.0, "h": 1 / 12}, k=2,
+            lam_grid=[100.0], kappa_grid=[0.0, 50.0, 200.0, 800.0],
+            eps_grid=[0.4], solver=SolverConfig(restarts=0),
+            outdir=str(tmp_path / "one"))
+        want = lab.read_records_csv(
+            lab.run_sweep(spec, log=lambda *_: None)["results_csv"])
+        monkeypatch.setattr(solve, "BATCH_VALUES", 4 * 2 * 441)
+        sizes, free_many = [], solve.minimize_free_many
+
+        def counted(systems, cfg, labels):
+            sizes.append(sum(s.k * s.mask.n_interior for s in systems))
+            return free_many(systems, cfg, labels)
+        monkeypatch.setattr(solve, "minimize_free_many", counted)
+        spec.outdir = str(tmp_path / "cut")
+        got = lab.read_records_csv(
+            lab.run_sweep(spec, log=lambda *_: None)["results_csv"])
+        assert len(sizes) == 3 and max(sizes) <= solve.BATCH_VALUES
+        assert len(got) == len(want) == 4
+        for rec, ref in zip(got, want):
+            assert replace(rec, wall_time=0.0) == replace(ref, wall_time=0.0)
 
     def test_tasks_are_runs_of_whole_groups(self):
         groups = [(float(i), (0.4,), [0.0]) for i in range(12)]
