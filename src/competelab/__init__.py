@@ -6,9 +6,9 @@ from .model import (Nonlinearity, ScaledFamily, Coupling, logistic,
                     scaled_family, identical_family, coupling_quartic,
                     cutoff_phi)
 from .energy import (DensityField, SpeciesSystem, EnergyReport, Objective,
-                     laplacian, dirichlet_energy, energy_total, energy_gradient,
-                     single_species_energy, lambda1, rescaled_copy,
-                     bilinear_sample, field_to_csv, field_to_pgm)
+                     energy_total, energy_gradient, single_species_energy,
+                     lambda1, rescaled_copy, bilinear_sample, field_to_csv,
+                     field_to_pgm)
 from .solve import (SolverConfig, MinimizeResult, minimize_free,
                     minimize_partition, minimize_multistart,
                     default_initializers, kappa_continuation,

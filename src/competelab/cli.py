@@ -18,7 +18,6 @@ import dataclasses
 import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -129,9 +128,9 @@ def read_config(args, keys, where: str):
 
     ``cfg`` is the JSON object at ``--config`` (``{}`` without one) and may
     hold only ``keys`` and "out".  ``solver`` is its "solver" object parsed
-    with the ``--seed`` override when ``keys`` include "solver", else None.
-    ``outdir`` is ``--out`` or else "out" (default "runs"); both must be
-    non-empty strings.
+    with the ``--seed`` override when ``keys`` include "solver"; else it is
+    None and ``--seed`` is an error.  ``outdir`` is ``--out`` or else "out"
+    (default "runs"); both must be non-empty strings.
     """
     cfg = {}
     if args.config:
@@ -150,6 +149,8 @@ def read_config(args, keys, where: str):
     for out in outs:
         if not isinstance(out, str) or not out:
             raise _bad("out", "a non-empty string", out)
+    if args.seed is not None and "solver" not in keys:
+        raise ConfigError(f"--seed has no solver to seed in the {where}")
     solver = parse_solver(cfg.get("solver", {}), args.seed) \
         if "solver" in keys else None
     return cfg, solver, outs[-1]
@@ -198,10 +199,12 @@ def _dump_fields(result, outdir):
         field_to_pgm(f, os.path.join(fdir, f"u{i}.pgm"), cap=betas[i - 1])
 
 
-def cmd_minimize(args, partition: bool = False) -> int:
+def cmd_minimize(args) -> int:
+    partition = args.command == "partition"
     cfg, solver, outdir = read_config(args, _RUN_KEYS, "run config")
-    # config.json records the directory the run is written to
-    norm = normalize_run_config({**cfg, "out": outdir})
+    # config.json records the run's directory and the solver that ran
+    norm = normalize_run_config({**cfg, "out": outdir,
+                                 "solver": dataclasses.asdict(solver)})
     mask = lab.build_domain(norm["domain"])
     k = norm["k"]
     fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),
@@ -213,7 +216,7 @@ def cmd_minimize(args, partition: bool = False) -> int:
         kappa=0.0 if partition else norm["kappa"], cfg=solver,
         partition=partition, warn=say)
     records = [lab.record_from_result(
-        "minimize", res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
+        args.command, res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
         verdict="best" if res is best else "") for res in results]
     lab.write_run(outdir, records, texts={
         "config.json": json.dumps(norm, indent=1, sort_keys=True)})
@@ -357,11 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true")
         return p
 
-    for name, text, run in (
-            ("minimize", "multistart free minimization", cmd_minimize),
-            ("partition", "segregated partition minimization",
-             partial(cmd_minimize, partition=True))):
-        command(name, text, run).add_argument(
+    for name, text in (("minimize", "multistart free minimization"),
+                       ("partition", "segregated partition minimization")):
+        command(name, text, cmd_minimize).add_argument(
             "--dump-fields", action="store_true",
             help="write per-species field CSV/PGM dumps")
     command("verify", "run a named verification experiment", cmd_verify,

@@ -236,9 +236,6 @@ class DensityField:
     def zeros(cls, mask: DomainMask) -> "DensityField":
         return cls(mask, np.zeros(mask.n_interior))
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.mask, self.values.copy())
-
     def to_grid(self) -> np.ndarray:
         """Dense (nx, ny) array with zeros outside the interior."""
         out = np.zeros((self.mask.grid.nx, self.mask.grid.ny))
@@ -306,17 +303,6 @@ class EnergyReport:
     interaction: float
     kappa: float
     total: float
-
-
-def dirichlet_energy(field: DensityField) -> float:
-    """0.5 * integral of |grad u|^2, as 0.5 * v . (L v)."""
-    return 0.5 * float(field.values @ _ops(field.mask).apply(field.values))
-
-
-def laplacian(field: DensityField) -> DensityField:
-    """Five-point discrete Laplacian; exterior neighbors read zero."""
-    h2 = field.mask.h ** 2
-    return DensityField(field.mask, -_ops(field.mask).apply(field.values) / h2)
 
 
 class Objective:
@@ -582,8 +568,8 @@ def lambda1(mask: DomainMask, tol: float = 1e-8, max_iters: int = 10000) -> floa
     raise RuntimeError(f"eigenvalue iteration did not converge in {max_iters} steps")
 
 
-def rescaled_copy(field: DensityField, eps: float, k: int, x0=(0.0, 0.0),
-                  target_mask: DomainMask | None = None) -> DensityField:
+def rescaled_copy(field: DensityField, eps: float, k: int,
+                  x0=(0.0, 0.0)) -> DensityField:
     """Shrunken low-amplitude copy w(x) = (eps/sqrt(k)) * u((x - x0)/eps).
 
     Samples u by bilinear interpolation on its grid, reading zero outside
@@ -593,11 +579,11 @@ def rescaled_copy(field: DensityField, eps: float, k: int, x0=(0.0, 0.0),
     """
     if eps <= 0:
         raise ValueError("scale eps must be positive")
-    tgt = target_mask if target_mask is not None else field.mask
-    xq = (tgt.xs - x0[0]) / eps
-    yq = (tgt.ys - x0[1]) / eps
+    mask = field.mask
+    xq = (mask.xs - x0[0]) / eps
+    yq = (mask.ys - x0[1]) / eps
     vals = (eps / np.sqrt(k)) * bilinear_sample(field, xq, yq)
-    return DensityField(tgt, vals)
+    return DensityField(mask, vals)
 
 
 def bilinear_sample(field: DensityField, xq, yq) -> np.ndarray:
@@ -628,10 +614,9 @@ def field_to_csv(field: DensityField, path) -> None:
     np.savetxt(str(path), field.to_grid(), delimiter=",", fmt="%.17g")
 
 
-def field_to_pgm(field: DensityField, path, cap: float | None = None) -> None:
+def field_to_pgm(field: DensityField, path, cap: float) -> None:
     """8-bit grayscale portable graymap, values scaled by the species cap."""
     dense = field.to_grid()
-    cap = float(cap) if cap else max(float(dense.max()), 1e-300)
     img = np.clip(np.round(255.0 * dense / cap), 0, 255).astype(np.uint8)
     with open(str(path), "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))

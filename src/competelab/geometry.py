@@ -19,6 +19,8 @@ _KINDS = ("rectangle", "disc", "wedge", "custom")
 
 
 def _region_contains(kind: str, params: dict, x, y):
+    if "scaled_by" in params:  # delta*Omega = {x : x/delta in Omega}
+        x, y = x / params["scaled_by"], y / params["scaled_by"]
     if kind == "rectangle":
         w, ht = params["width"], params["height"]
         return (0 < x) & (x < w) & (0 < y) & (y < ht)
@@ -187,10 +189,6 @@ def scale_mask(mask: DomainMask, delta: float) -> DomainMask:
         raise ValueError("scaling ratio must lie in (0, 1)")
     if mask.kind not in ("disc", "wedge"):
         raise ValueError(f"mask kind {mask.kind!r} is not scaling-compatible")
-    X, Y = mask.grid.node_coords()
-    inside = mask.contains(X / delta, Y / delta)
-    inside[0, :] = inside[-1, :] = False
-    inside[:, 0] = inside[:, -1] = False
-    params = dict(mask.params)
-    params["scaled_by"] = params.get("scaled_by", 1.0) * delta
-    return DomainMask(mask.grid, inside, kind=mask.kind, params=params)
+    scaled_by = mask.params.get("scaled_by", 1.0) * delta
+    return _mask_from_region(mask.grid, mask.kind,
+                             {**mask.params, "scaled_by": scaled_by})

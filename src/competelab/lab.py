@@ -332,10 +332,9 @@ def wedge_bound_gamma(m: float, lam: float, gmax: float) -> float:
     return lam * gmax / denom
 
 
-def check_wedge_bound(field: DensityField, m: float, lam: float,
-                      gmax: float = 0.25) -> dict:
+def check_wedge_bound(field: DensityField, m: float, lam: float) -> dict:
     """Pointwise corner barrier u <= gamma (x^2 - m^2 y^2) + 10 h gamma."""
-    gam = wedge_bound_gamma(m, lam, gmax)
+    gam = wedge_bound_gamma(m, lam, _LOGISTIC.gmax)
     mask = field.mask
     bound = gam * (mask.xs ** 2 - m * m * mask.ys ** 2) + 10.0 * mask.h * gam
     excess = field.values - bound
@@ -362,7 +361,7 @@ def verify_wedge_bound(m: float, lam: float, h: float,
     minimizer = _wedge_minimizer(m, lam, h, cfg, minimizer)
     mask = minimizer.system.mask
     u = minimizer.system.fields[0]
-    chk = check_wedge_bound(u, m, lam, _LOGISTIC.gmax)
+    chk = check_wedge_bound(u, m, lam)
     box_ok = bool(np.all(u.values >= 0) and np.all(u.values <= _LOGISTIC.beta))
     status = PASS if (chk["ok"] and box_ok) else FAIL
     rec = record_from_result("wedge-bound", minimizer, cfg.seed,

@@ -67,11 +67,12 @@ is its one-system case), each system with its own energy, stall counter
 and stop.  A multistart hands its starts, and a sweep task all of its
 groups' solves, to ``solve_starts``, which solves them in runs of at
 most BATCH_VALUES stacked values, one batched call per run (criterion
-7's fine disc scan thus solves one start at a time).  A batch's wall time is split over its solves in proportion to
-their iterations, so a result's ``seconds`` is a measured share, not a
-timing of its own.  The records of ``minimize``, ``partition`` and
-``extinction`` starts and ``system2``'s partition record carry such
-shares, and a sweep point sums them.
+7's fine disc scan thus solves one start at a time).  A batch's wall
+time is split over its solves in proportion to their iterations, so a
+result's ``seconds`` is a measured share, not a timing of its own.  The
+records of ``minimize``, ``partition`` and ``extinction`` starts and
+``system2``'s partition record carry such shares, and a sweep point sums
+them.
 
 Continuation re-minimizes along an increasing competition schedule,
 warm-starting each rate from the previous minimizer; each rate is one
@@ -825,8 +826,7 @@ def kappa_continuation(sys0: SpeciesSystem, kappa_schedule, cfg: SolverConfig):
     sys = sys0
     results = []
     for kap in schedule:
-        sys = SpeciesSystem([f.copy() for f in sys.fields], sys.fam,
-                            sys.coupling, sys.lam, kappa=kap)
+        sys = SpeciesSystem(sys.fields, sys.fam, sys.coupling, sys.lam, kap)
         res = minimize_free(sys, cfg, start_label=f"kappa-{kap:g}")
         results.append(res)
         sys = res.system

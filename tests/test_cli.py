@@ -141,6 +141,13 @@ class TestConfigValidation:
         assert main(["minimize", "--config", path, "--seed", "-1"]) == 1
         assert "invalid solver config" in capsys.readouterr().err
 
+    def test_seed_without_a_solver_rejected(self, tmp_path, capsys):
+        # verify eig has no solver: its --seed used to run and be ignored
+        out = tmp_path / "eig"
+        assert main(["verify", "eig", "--seed", "3", "--out", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["tol_energy", "step0", "armijo_shrink",
                                      "armijo_c", "step_growth", "stall_window"])
     def test_solver_constant_is_not_a_key(self, tmp_path, capsys, key):
@@ -261,6 +268,24 @@ class TestMinimizeCommand:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["seed"] == "123" for r in rows)
 
+    def test_saved_config_reruns_the_seeded_run(self, tmp_path):
+        # config.json holds the solver that ran, --seed and defaults in
+        first, second = tmp_path / "first", tmp_path / "second"
+        path = write_config(tmp_path, "c.json", base_run_config(str(first)))
+        assert main(["minimize", "--config", path, "--seed", "123",
+                     "--quiet"]) == 0
+        saved = json.loads((first / "config.json").read_text())
+        assert saved["solver"] == {"max_iters": 5000, "tol_residual": None,
+                                   "restarts": 1, "seed": 123}
+        assert normalize_run_config(saved) == saved
+        assert main(["minimize", "--config", str(first / "config.json"),
+                     "--out", str(second), "--quiet"]) == 0
+
+        def rows(out):
+            with open(out / "results.csv") as fh:
+                return [{**r, "wall_time": None} for r in csv.DictReader(fh)]
+        assert rows(first) and rows(first) == rows(second)
+
 
 class TestPartitionCommand:
     def test_identical_pair_extinguishes(self, tmp_path, capsys):
@@ -274,6 +299,17 @@ class TestPartitionCommand:
         assert "alive-count" in text
         count = int(text.split("alive-count")[1].split()[0])
         assert count <= 1
+
+    def test_rows_name_the_partition_command(self, tmp_path):
+        # a partition run used to write "minimize" into every row
+        out = tmp_path / "part"
+        cfg = base_run_config(str(out), h=1 / 8)
+        cfg.update(k=2, identical=True)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["partition", "--config", path, "--quiet"]) == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["experiment"] == "partition" for r in rows)
 
     def test_identical_with_eps_rejected(self, tmp_path):
         cfg = base_run_config(str(tmp_path / "o"))

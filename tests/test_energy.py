@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from competelab.energy import (DensityField, Objective, SpeciesSystem,
-                               _lambda1_run, _ops, bilinear_sample, dirichlet_energy, energy_gradient,
+                               _lambda1_run, _ops, bilinear_sample, energy_gradient,
                                energy_total, field_to_csv, field_to_pgm, lambda1,
-                               laplacian, rescaled_copy, single_species_energy)
+                               rescaled_copy, single_species_energy)
 from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
                                  build_wedge)
 from competelab.model import (LawStack, ScaledFamily, coupling_quartic,
@@ -73,20 +73,25 @@ def dense_energy_oracle(sys):
     return e
 
 
+def stencil_laplacian(mask, v):
+    """The five-point discrete Laplacian -L v / h^2 of the stencil."""
+    return -_ops(mask).apply(v) / mask.h ** 2
+
+
 class TestLaplacian:
     def test_zero_field(self):
         mask = build_rectangle(1, 1, 0.1)
-        assert np.all(laplacian(DensityField.zeros(mask)).values == 0)
+        assert np.all(stencil_laplacian(mask, np.zeros(mask.n_interior)) == 0)
 
     def test_single_node_stencil(self):
         mask = build_rectangle(1, 1, 0.5)  # one interior node
-        f = DensityField(mask, np.array([1.0]))
-        assert laplacian(f).values[0] == pytest.approx(-4 / 0.25)
+        lap = stencil_laplacian(mask, np.array([1.0]))
+        assert lap[0] == pytest.approx(-4 / 0.25)
 
     def test_eigenfunction(self):
         mask = build_rectangle(1, 1, 0.01)
-        u = DensityField(mask, np.sin(np.pi * mask.xs) * np.sin(np.pi * mask.ys))
-        ratio = -laplacian(u).values / u.values
+        u = np.sin(np.pi * mask.xs) * np.sin(np.pi * mask.ys)
+        ratio = -stencil_laplacian(mask, u) / u
         assert np.max(np.abs(ratio / (2 * np.pi ** 2) - 1)) < 1e-3
 
 
@@ -686,4 +691,6 @@ class TestFieldBasics:
         mask = build_disc(0.5, 0.1)
         rng = np.random.default_rng(12)
         f = DensityField(mask, rng.uniform(-1, 1, mask.n_interior))
-        assert dirichlet_energy(f) >= 0
+        sys = SpeciesSystem([f], ScaledFamily(base=logistic(), k=1, eps=()),
+                            None, 1.0)
+        assert energy_total(sys).dirichlet[0] >= 0

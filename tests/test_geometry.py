@@ -140,6 +140,9 @@ class TestWedge:
         assert np.all(~s.interior | m.interior)
 
 
+SCALABLE = [lambda: build_disc(1.0, 1 / 16), lambda: build_wedge(2.0, 1 / 48)]
+
+
 class TestScaleMask:
     def test_disc_subset(self):
         m = build_disc(1.0, 0.05)
@@ -157,6 +160,22 @@ class TestScaleMask:
         m = build_rectangle(1, 1, 0.1)
         with pytest.raises(ValueError):
             scale_mask(m, 0.5)
+
+    @pytest.mark.parametrize("build", SCALABLE, ids=["disc", "wedge"])
+    def test_scalings_compose(self, build):
+        # Halving twice is scaling by a quarter, not halving once.
+        m = build()
+        twice = scale_mask(scale_mask(m, 0.5), 0.5)
+        once = scale_mask(m, 0.25)
+        assert np.array_equal(twice.interior, once.interior)
+        assert twice.params == once.params
+        assert twice.n_interior < scale_mask(m, 0.5).n_interior
+
+    @pytest.mark.parametrize("build", SCALABLE, ids=["disc", "wedge"])
+    def test_contains_is_the_scaled_region(self, build):
+        s = scale_mask(build(), 0.5)
+        assert s.contains(0.4, 0.0) and not s.contains(0.6, 0.0)
+        assert np.all(s.contains(s.xs, s.ys))
 
 
 class TestMaskStructure:
