@@ -159,19 +159,19 @@ def read_config(args, keys, where: str):
 _RUN_KEYS = {"domain", "k", "lambda", "kappa", "eps", "identical", "solver"}
 
 
-def normalize_run_config(cfg: dict) -> dict:
+def normalize_run_config(cfg: dict, partition: bool = False) -> dict:
     """Validated, defaults-filled copy of a minimize/partition config whose
     keys, solver and "out" ``read_config`` has checked.
 
     Normalization is idempotent: re-parsing a serialized normal form
-    reproduces it exactly.
+    reproduces it exactly.  A partition config has no "kappa": the
+    partition solver is uncoupled.
     """
     domain = parse_domain(_require(cfg, "domain"))
     k = _integer(cfg, "k", 1)
     if k < 1:
         raise ConfigError("config key \"k\" must be at least 1")
     lam = _number(cfg, "lambda")
-    kappa = _number(cfg, "kappa", 0.0)
     identical = cfg.get("identical", False)
     if not isinstance(identical, bool):
         raise _bad("identical", "true or false", identical)
@@ -184,10 +184,12 @@ def normalize_run_config(cfg: dict) -> dict:
                           "\"identical\" is set")
     if not identical and len(eps) != k - 1:
         raise ConfigError(f"config key \"eps\" must list {k - 1} scales")
-    return {"domain": domain, "k": k, "lambda": lam, "kappa": kappa,
-            "eps": eps, "identical": identical,
-            "solver": dict(cfg.get("solver", {})),
+    norm = {"domain": domain, "k": k, "lambda": lam, "eps": eps,
+            "identical": identical, "solver": dict(cfg.get("solver", {})),
             "out": cfg.get("out", "runs")}
+    if not partition:
+        norm["kappa"] = _number(cfg, "kappa", 0.0)
+    return norm
 
 
 def _dump_fields(result, outdir):
@@ -201,10 +203,13 @@ def _dump_fields(result, outdir):
 
 def cmd_minimize(args) -> int:
     partition = args.command == "partition"
-    cfg, solver, outdir = read_config(args, _RUN_KEYS, "run config")
+    cfg, solver, outdir = read_config(
+        args, _RUN_KEYS - {"kappa"} if partition else _RUN_KEYS,
+        f"{args.command} config")
     # config.json records the run's directory and the solver that ran
     norm = normalize_run_config({**cfg, "out": outdir,
-                                 "solver": dataclasses.asdict(solver)})
+                                 "solver": dataclasses.asdict(solver)},
+                                partition)
     mask = lab.build_domain(norm["domain"])
     k = norm["k"]
     fam = ScaledFamily(base=logistic(), k=k, eps=tuple(norm["eps"]),
@@ -213,7 +218,7 @@ def cmd_minimize(args) -> int:
     best, results = minimize_multistart(
         mask, fam, norm["lambda"],
         coupling=coupling_quartic(k) if k > 1 else None,
-        kappa=0.0 if partition else norm["kappa"], cfg=solver,
+        kappa=norm.get("kappa", 0.0), cfg=solver,
         partition=partition, warn=say)
     records = [lab.record_from_result(
         args.command, res, solver.seed, res.seconds, eps=tuple(norm["eps"]),
@@ -245,12 +250,15 @@ def _domain(cfg: dict) -> DomainMask:
 def _eig_args(cfg: dict) -> tuple:
     """``verify eig``'s mask, reference and tolerance: the unit square at
     h = 1/128 without a domain, its analytic eigenvalue without a
-    reference."""
+    reference.  The reference and tolerance must be finite and > 0."""
     domain = parse_domain(cfg.get("domain", {"kind": "rectangle", "h": 1 / 128,
                                              "width": 1.0, "height": 1.0}))
-    return (lab.build_domain(domain),
-            _number(cfg, "reference", _analytic_eigenvalue(domain)),
-            _number(cfg, "rel_tol", 0.01))
+    reference = _number(cfg, "reference", _analytic_eigenvalue(domain))
+    rel_tol = _number(cfg, "rel_tol", 0.01)
+    for key, v in (("reference", reference), ("rel_tol", rel_tol)):
+        if not 0 < v < np.inf:
+            raise _bad(key, "a finite number above 0", v)
+    return lab.build_domain(domain), reference, rel_tol
 
 
 # Experiment name -> (config keys, runner(cfg, solver) -> verdict).

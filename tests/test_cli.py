@@ -311,6 +311,34 @@ class TestPartitionCommand:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["experiment"] == "partition" for r in rows)
 
+    def test_kappa_rejected(self, tmp_path, capsys):
+        # a partition run used to record a kappa that every row read as 0
+        out = tmp_path / "part"
+        cfg = base_run_config(str(out), h=1 / 8)
+        cfg.update(k=2, eps=0.5, kappa=400.0)
+        rc = main(["partition", "--config",
+                   write_config(tmp_path, "c.json", cfg), "--quiet"])
+        assert rc == 1
+        assert 'unknown config key "kappa"' in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_saved_config_reruns_the_run(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = base_run_config(str(first), h=1 / 8)
+        cfg.update(k=2, eps=0.5)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["partition", "--config", path, "--quiet"]) == 0
+        saved = json.loads((first / "config.json").read_text())
+        assert "kappa" not in saved
+        assert normalize_run_config(saved, partition=True) == saved
+        assert main(["partition", "--config", str(first / "config.json"),
+                     "--out", str(second), "--quiet"]) == 0
+
+        def rows(out):
+            with open(out / "results.csv") as fh:
+                return [{**r, "wall_time": None} for r in csv.DictReader(fh)]
+        assert rows(first) and rows(first) == rows(second)
+
     def test_identical_with_eps_rejected(self, tmp_path):
         cfg = base_run_config(str(tmp_path / "o"))
         cfg["k"] = 2
@@ -404,8 +432,15 @@ class TestVerifyCommand:
         ("wedge-bound", {"lambda": "120", "h": 1 / 32}, "lambda"),
         ("cutoff", {"lambda": 120.0, "h": 1 / 32, "deltas": 0.5}, "deltas"),
         ("eig", {"reference": "30"}, "reference"),
+        # these reached the computation: a zero reference divided by
+        # zero, and a negative or NaN tolerance ran to FAIL
+        ("eig", {"reference": 0}, "reference"),
+        ("eig", {"reference": float("inf")}, "reference"),
+        ("eig", {"rel_tol": -1}, "rel_tol"),
+        ("eig", {"rel_tol": float("nan")}, "rel_tol"),
     ], ids=["extinction-k", "wedge-bound-lambda", "cutoff-deltas",
-            "eig-reference"])
+            "eig-reference", "eig-reference-zero", "eig-reference-inf",
+            "eig-rel_tol-negative", "eig-rel_tol-nan"])
     def test_wrongly_typed_value_exits_1_naming_key(self, tmp_path, capsys,
                                                     name, cfg, key):
         rc = main(["verify", name, "--config",
