@@ -548,7 +548,11 @@ def verify_eigenvalue(mask: DomainMask, reference: float,
                       rel_tol: float) -> LabVerdict:
     """Principal Dirichlet eigenvalue against an analytic reference, with
     the iteration's step count and final relative residual
-    |L x - mu x| / mu."""
+    |L x - mu x| / mu.  ``reference`` and ``rel_tol`` must be finite and
+    > 0."""
+    for name, v in (("reference", reference), ("rel_tol", rel_tol)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     t0 = time.perf_counter()
     lam = lambda1(mask)
     steps, residual = _lambda1_run(mask)

@@ -1,15 +1,16 @@
 """Projected truncated Newton descent, partition descent, and continuation.
 
-Both minimizers take one kind of step (``_projected_step``) along a
-search direction d; they differ in the direction.  The step, like the
-free minimizer's Newton direction, works on a stack of rows, each with
-its own energy, direction and scalars.
+Both minimizers take one kind of step (``_projected_step``) along one
+kind of search direction (``_search_direction``); they differ in the
+energy they descend.  The step and the direction work on a stack of
+rows, each with its own energy, direction and scalars.
 
-The free minimizer takes an inexact projected Newton direction
-(Bertsekas 1982).  Nodes held by a bound (at 0 with a positive gradient,
-at the cap beta_i with a negative one) are fixed; on the remaining free
-set, conjugate gradients from zero solve H d = -grad for the Hessian
-H = L/h^2 - lam diag f_i'(u_i) + kappa Hess H(U), preconditioned by
+The direction is an inexact projected Newton direction (Bertsekas
+1982).  Nodes held by a bound (at 0 with a positive gradient, at the cap
+beta_i with a negative one) are fixed; on the remaining free set,
+conjugate gradients from zero solve H d = -grad for the Hessian
+H = L/h^2 - lam diag f_i'(u_i) + kappa Hess H(U) (a partition row, one
+species alone, has no coupling term), preconditioned by
 h^2 times the box solve shifted per species by the slope s_i =
 |f_i'(beta_i)| of the species' law at its cap (``Objective.shifts``), to
 a relative residual of NEWTON_CG_TOL or NEWTON_CG_MAXITER steps.  The
@@ -21,14 +22,15 @@ when it comes at the first step, the direction is the Sobolev gradient
 d_i = -h^2 (L + s_i h^2 I)^-1 grad_i instead.  The Newton direction
 captures the negative curvature -lam f_i'(u_i) that no
 positive shift of the Sobolev metric can, so the stiff end of a
-competition continuation takes a few steps instead of hundreds.
+competition continuation takes a few steps instead of hundreds, and a
+partition solve on a curved mask about a third as many as along the
+Sobolev gradient.
 
-The partition minimizer steps along the Sobolev gradient.  The energy
-module applies its inverse matrix-free, as a DST solve on the mask's
-bounding box; both minimizers use that one solve.  On rectangles the box
-is the mask, and the shift makes the partition iteration count
-independent of the mesh width.  On curved masks the box solve is only a
-preconditioner for the mask's operator, and the count grows with 1/h.
+The energy module applies the box solve matrix-free, as a DST solve on
+the mask's bounding box; both minimizers use that one solve.  On
+rectangles the box is the mask; on curved masks it is only a
+preconditioner for the mask's operator, which CG corrects and the
+Sobolev gradient does not.
 
 The trial clip(U + t d), t = 1, 1/2, ..., to [0, beta_i] is accepted on
 an Armijo test against the linear model h^2 * sum(grad * (U_new - U));
@@ -147,7 +149,7 @@ class MinimizeResult:
     # max_iters, step_underflow
     stop_reason: str | None = None
     evals: int = 0                  # energy evaluations (per species: partition)
-    cg_iters: int = 0               # inner CG steps (Hessian products); free only
+    cg_iters: int = 0               # inner CG steps (all species: partition)
     seconds: float = 0.0            # wall time of the solve
 
     @property
@@ -270,6 +272,18 @@ def _newton_direction(obj, box, U, grad, caps, shifts):
     return D, cg, flagged, resnorm
 
 
+def _search_direction(obj, box, U, grad, caps, shifts):
+    """The search directions of both minimizers for the rows of a stack:
+    each row's truncated Newton direction (``_newton_direction``), or,
+    where negative curvature flags it at once, its Sobolev gradient
+    direction -h^2 (L + s h^2 I)^-1 grad.  Returns (D, cg, resnorm)."""
+    D, cg, flagged, resnorm = _newton_direction(obj, box, U, grad, caps, shifts)
+    if any(flagged):
+        f = [j for j, x in enumerate(flagged) if x]
+        D[f] = -obj.h2 * box.solve(grad[f], shifts[f])
+    return D, cg, resnorm
+
+
 # How a row's projected step ended: a step taken, a null step, no trial passed.
 STEP, FLAT, UNDERFLOW = 0, 1, 2
 
@@ -384,7 +398,6 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
     ordered = [systems[b] for b in order]
     obj = Objective.many(ordered)
     box = _ops(obj.mask).box_solver()
-    h2 = obj.h2
     caps = np.stack([s.fam.betas for s in ordered])[:, :, None]
     shifts = obj.shifts()
     tol_res = [cfg.tol_residual if cfg.tol_residual is not None
@@ -412,11 +425,7 @@ def minimize_free_many(systems, cfg: SolverConfig, labels=None) -> list:
     while rows and it < cfg.max_iters:
         it += 1
         grad = obj.grad(U, LU)
-        D, cg, flagged, resnorm = _newton_direction(obj, box, U, grad, caps,
-                                                    shifts)
-        if any(flagged):   # negative curvature at once: the H^1 direction
-            f = [j for j, x in enumerate(flagged) if x]
-            D[f] = -h2 * box.solve(grad[f], shifts[f])
+        D, cg, resnorm = _search_direction(obj, box, U, grad, caps, shifts)
         # A null step repeats forever, so it ends a solve at once; above the
         # residual tolerance it is not allowed, or it would spin.
         small = [r <= tol for r, tol in zip(resnorm, tol_res)]
@@ -693,12 +702,12 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
     for each of a list of systems, advanced as one stack.
 
     Ignores the competition rate: each species takes one projected step
-    along its box-solve Sobolev gradient on its own single-species energy,
-    then the segregation projection restores pairwise disjoint supports.
-    A solve terminates when no species moves (converged only when every
-    step is flat) or on an energy stall of its segregated total; on curved
-    masks the step count grows with 1/h.  The output is segregated
-    nodewise by construction.
+    along its search direction (``_search_direction``) on its own
+    single-species energy, then the segregation projection restores
+    pairwise disjoint supports.  A solve terminates when no species moves
+    (converged only when every step is flat) or on an energy stall of its
+    segregated total.  The output is segregated nodewise by construction,
+    and a result's ``cg_iters`` sums its species' CG steps.
 
     The systems share one mask, species count and base law.  The m
     systems' species are the m k rows of one (m k, 1, n) stack; each
@@ -719,7 +728,7 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
     # (1, n) stack: its energy is J_i, and there is no coupling.
     obj = Objective.species_of(systems)
     box = _ops(obj.mask).box_solver()
-    h2, k, n = obj.h2, systems[0].k, obj.mask.n_interior
+    k, n = systems[0].k, obj.mask.n_interior
     caps = np.stack([s.fam.betas for s in systems])[:, :, None]
     U = segregation_projection(np.clip(np.stack([s.stacked() for s in systems]),
                                        0.0, caps)).reshape(B * k, 1, n)
@@ -729,7 +738,7 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
     E = Es.reshape(B, k).sum(axis=1).tolist()
 
     rows = list(range(B))   # the systems still iterating, by stack block
-    evals, iters, stall = [k] * B, [0] * B, [0] * B
+    evals, iters, stall, cg_iters = [k] * B, [0] * B, [0] * B, [0] * B
     energies = [[e] for e in E]
     converged, stop_reason, finals = [False] * B, ["max_iters"] * B, [None] * B
 
@@ -752,13 +761,14 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
     while rows and it < cfg.max_iters:
         it += 1
         grad = obj.grad(U, LU)
-        D = -h2 * box.solve(grad, shifts)
+        D, cg, _ = _search_direction(obj, box, U, grad, caps, shifts)
         U_new, _, _, how, ev = _projected_step(obj, U, Es, grad, D, caps,
                                                null_ok=[True] * len(U))
         stopped = []   # no species moved, so every later iteration repeats
         for j, b in enumerate(rows):
             block = how[j * k:(j + 1) * k]
             evals[b] += sum(ev[j * k:(j + 1) * k])
+            cg_iters[b] += sum(cg[j * k:(j + 1) * k])
             if STEP not in block:
                 stopped.append(j)
                 iters[b], converged[b] = it, block.count(FLAT) == k
@@ -803,7 +813,7 @@ def minimize_partition_many(systems, cfg: SolverConfig, labels=None) -> list:
             start_label=labels[b],
             residual=_projected_residual(Ub[:, 0], grad, sys0.fam.betas[:, None]),
             energies=np.array(energies[b]), stop_reason=stop_reason[b],
-            evals=evals[b]))
+            evals=evals[b], cg_iters=cg_iters[b]))
     return _split_wall(out, t0)
 
 

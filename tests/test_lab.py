@@ -266,6 +266,18 @@ class TestEig:
         bad = lab.verify_eigenvalue(mask, 30.0, 0.001)
         assert bad.status == lab.FAIL
 
+    @pytest.mark.parametrize("reference,rel_tol,name", [
+        (0.0, 0.01, "reference"), (np.inf, 0.01, "reference"),
+        (2 * np.pi ** 2, np.nan, "rel_tol"), (2 * np.pi ** 2, -1.0, "rel_tol"),
+    ], ids=["reference-zero", "reference-inf", "rel_tol-nan",
+            "rel_tol-negative"])
+    def test_rejects_a_bad_reference_or_tolerance(self, reference, rel_tol,
+                                                  name):
+        # A zero reference divided by zero; the others ran to FAIL.
+        with pytest.raises(ValueError, match=name):
+            lab.verify_eigenvalue(build_rectangle(1, 1, 1 / 16), reference,
+                                  rel_tol)
+
     def test_details_carry_steps_and_residual(self):
         square = lab.verify_eigenvalue(build_rectangle(1, 1, 1 / 32),
                                        2 * np.pi ** 2, 0.01)
