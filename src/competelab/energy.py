@@ -32,10 +32,12 @@ from .geometry import DomainMask
 from .model import Coupling, LawStack, ScaledFamily
 
 
-# Stacks of at most this many rows (one system's species) reach the
-# stencil and the box solve through flat indices cached per row count;
-# taller stacks, which only batches of systems make, gather along axis 1,
-# so the caches stay bounded however a batch shrinks.
+# On a mask that does not fill its bounding box, stacks of at most this
+# many rows (one system's species) reach the stencil and the box solve
+# through flat indices cached per row count; taller stacks, which only
+# batches of systems make, gather along axis 1, so the caches stay bounded
+# however a batch shrinks.  A mask that fills its box (a rectangle) uses
+# no index at all: its stacks are box arrays as they stand.
 _INDEXED_ROWS = 4
 
 
@@ -49,6 +51,10 @@ class _MaskOps:
         # reads the zero padding slot n.
         nbr = mask.neighbors[:, [1, 3, 2, 0]].T
         self._nbr = np.where(nbr >= 0, nbr, n)
+        # Nodes are numbered row-major, so on a mask that fills its
+        # bounding box a (k, n) stack reshapes to (k, nx, ny) box arrays.
+        shape = (int(np.ptp(mask._ii)) + 1, int(np.ptp(mask._jj)) + 1)
+        self._filled = shape if shape[0] * shape[1] == n else None
         self._gather = {}   # row count k -> positions in a padded (k, n+1) stack
         self._box_args = (mask._ii, mask._jj)
         self._box = None
@@ -59,26 +65,37 @@ class _MaskOps:
         """L X for an (n,) vector, or for each row of a (..., n) stack.
 
         L = -h^2 * discrete Laplacian is symmetric positive definite.  Each
-        row gathers its four neighbours from a zero-padded copy of X and
-        sums ``0 - W - S + 4x - N - E`` in that order, the order of a sparse
-        row product over L's sorted columns, so the result is the same in
-        every bit as ``L @ x`` with L assembled as a sparse matrix.
+        row reads its four neighbours from a zero-padded copy of X and sums
+        ``0 - W - S + 4x - N - E`` in that order, the order of a sparse row
+        product over L's sorted columns, so the result is the same in every
+        bit as ``L @ x`` with L assembled as a sparse matrix.  On a mask
+        that fills its box the copy is a (k, nx+2, ny+2) array with a zero
+        rim and the neighbours are its shifted slices; on any other mask
+        they are gathered by index from a (k, n+1) copy whose last column
+        is 0.
         """
-        n = self._nbr.shape[1]
-        rows = X.reshape(-1, n)
-        k = rows.shape[0]
-        if k > _INDEXED_ROWS:
-            idx, axis = self._nbr, 1
+        rows = X.reshape(-1, self._nbr.shape[1])
+        k, n = rows.shape
+        if self._filled is not None:
+            x = rows.reshape((k,) + self._filled)
+            P = np.zeros((k, x.shape[1] + 2, x.shape[2] + 2))
+            P[:, 1:-1, 1:-1] = x
+            W, S, N, E = (P[:, :-2, 1:-1], P[:, 1:-1, :-2], P[:, 1:-1, 2:],
+                          P[:, 2:, 1:-1])
         else:
-            idx, axis = self._gather.get(k), None
-            if idx is None:
-                idx = self._nbr[:, None, :] + (n + 1) * np.arange(k)[:, None]
-                self._gather[k] = idx
-        G = np.concatenate((rows, np.zeros((k, 1))), axis=1).take(idx, axis=axis)
-        W, S, N, E = G if axis is None else G.swapaxes(0, 1)
+            x = rows
+            if k > _INDEXED_ROWS:
+                idx, axis = self._nbr, 1
+            else:
+                idx, axis = self._gather.get(k), None
+                if idx is None:
+                    idx = self._nbr[:, None, :] + (n + 1) * np.arange(k)[:, None]
+                    self._gather[k] = idx
+            G = np.concatenate((rows, np.zeros((k, 1))), axis=1).take(idx, axis=axis)
+            W, S, N, E = G if axis is None else G.swapaxes(0, 1)
         out = np.subtract(0.0, W)
         out -= S
-        out += 4.0 * rows
+        out += 4.0 * x
         out -= N
         out -= E
         return out.reshape(X.shape)
@@ -114,12 +131,16 @@ class _BoxSolver:
     carried by modes along the boundary, so a descent preconditioned by P
     alone needs more steps as the mesh is refined there.  A new shift
     changes only the divisor, so nothing is factorized or rebuilt per shift.
+    On a mask that fills its box (``filled``) the nodes are the box's in
+    row-major order, so a stack's rows reshape to box arrays and back with
+    no scatter or gather.
     """
 
     def __init__(self, ii, jj):
         rows, cols = ii - ii.min(), jj - jj.min()
         nx, ny = int(rows.max()) + 1, int(cols.max()) + 1
         self.flat = rows * ny + cols     # mask node -> position in the box
+        self.filled = self.flat.size == nx * ny
         self.sx, self.sy = _sine_matrix(nx), _sine_matrix(ny)
         ex = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))
         ey = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))
@@ -136,7 +157,9 @@ class _BoxSolver:
         B = np.asarray(B, dtype=float)
         rows = B.reshape(-1, B.shape[-1])
         k = rows.shape[0]
-        if k > _INDEXED_ROWS:
+        if self.filled:
+            box = rows.reshape((k,) + self.eig.shape)
+        elif k > _INDEXED_ROWS:
             box = np.zeros((k, self.eig.size))
             box[:, self.flat] = rows
             box = box.reshape((k,) + self.eig.shape)
@@ -145,8 +168,10 @@ class _BoxSolver:
             np.put(box, self._scatter_index(k), rows)
         coef = self.sx @ box @ self.sy
         coef /= self.eig + np.asarray(shifts, dtype=float).reshape(-1, 1, 1)
-        out = (self.sx @ coef @ self.sy).reshape(k, -1)
-        return out.take(self.flat, axis=1).reshape(B.shape)
+        out = self.sx @ coef @ self.sy
+        if not self.filled:
+            out = out.reshape(k, -1).take(self.flat, axis=1)
+        return out.reshape(B.shape)
 
     def _scatter_index(self, k: int) -> np.ndarray:
         """Flat positions of a (k, n) stack's entries in a (k, box) array."""

@@ -672,9 +672,8 @@ def minimize_multistart(mask: DomainMask, fam: ScaledFamily, lam: float,
                         warn=None):
     """Run every initializer; return (best result, all results).
 
-    The starts are solved in batches (``solve_starts``).  The best result
-    attains the minimum final energy over all starts, the first such in
-    start order.  A start that fails raises its error.
+    The starts are solved in batches (``solve_starts``), and the best is
+    picked by ``best_start``.
     """
     cfg = cfg or SolverConfig()
     if lam <= 0:
@@ -682,10 +681,16 @@ def minimize_multistart(mask: DomainMask, fam: ScaledFamily, lam: float,
     results = solve_starts(default_initializers(mask, fam, lam, coupling,
                                                 kappa, cfg, warn),
                            cfg, partition)
+    return best_start(results), results
+
+
+def best_start(results) -> MinimizeResult:
+    """The first result, in start order, that attains the minimum final
+    energy; a failed start (an error among the results) raises its error."""
     for res in results:
         if isinstance(res, Exception):
             raise res
-    return min(results, key=lambda r: r.energy), results
+    return min(results, key=lambda r: r.energy)
 
 
 def segregation_projection(U: np.ndarray) -> np.ndarray:

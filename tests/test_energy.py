@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from competelab.energy import (DensityField, Objective, SpeciesSystem,
-                               _lambda1_run, _ops, bilinear_sample, energy_gradient,
+                               _BoxSolver, _MaskOps, _lambda1_run, _ops,
+                               bilinear_sample, energy_gradient,
                                energy_total, field_to_csv, field_to_pgm, lambda1,
                                rescaled_copy, single_species_energy)
 from competelab.geometry import (DomainMask, Grid, build_disc, build_rectangle,
@@ -118,6 +119,37 @@ class TestStencil:
         assert got.shape == X.shape
         assert got.tobytes() == want.tobytes()
         assert _ops(mask).apply(X[0]).tobytes() == (L @ X[0]).tobytes()
+
+
+class TestFilledBox:
+    """A mask that fills its bounding box (a rectangle) reshapes stacks to
+    box arrays; every other mask takes the index path."""
+
+    @pytest.mark.parametrize("mask", [build_rectangle(1, 1, 1 / 16),
+                                      build_rectangle(1.5, 0.75, 1 / 12)], ids=repr)
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 12])
+    def test_same_bits_as_the_index_path(self, mask, k):
+        ops, box = _ops(mask), _ops(mask).box_solver()
+        assert ops._filled is not None and box.filled
+        indexed, indexed_box = _MaskOps(mask), _BoxSolver(mask._ii, mask._jj)
+        indexed._filled, indexed_box.filled = None, False
+        X = np.random.default_rng(k).normal(size=(k, mask.n_interior))
+        X[:, ::5] = 0.0
+        X[:, 2::7] = -0.0
+        L = csr_laplacian(mask)
+        got = ops.apply(X)
+        assert got.tobytes() == indexed.apply(X).tobytes()
+        assert got.tobytes() == np.stack([L @ x for x in X]).tobytes()
+        shifts = np.linspace(0.0, 5.0, k)
+        assert np.array_equal(box.solve(X, shifts), indexed_box.solve(X, shifts))
+
+    @pytest.mark.parametrize("build", [lambda: build_disc(1.0, 1 / 12),
+                                       lambda: build_wedge(2.0, 1 / 24),
+                                       holed_mask], ids=["disc", "wedge", "holed"])
+    def test_other_masks_take_the_index_path(self, build):
+        ops = _ops(build())
+        assert ops._filled is None
+        assert not ops.box_solver().filled
 
 
 class TestEnergyTotal:

@@ -153,16 +153,23 @@ class TestLimiti:
         assert verdict.details["monotone_ok"]
         assert "fit_A" not in verdict.details
 
-    def test_each_rate_takes_one_batch(self, monkeypatch):
-        # limiti-square's rates, two starts of 3,969 values each: a rate's
-        # starts share a batch, and its record's time covers that batch.
-        walls = timed(monkeypatch, "minimize_free_many")
+    def test_all_rates_take_one_batch(self, monkeypatch):
+        # limiti-square's six starts (two per rate, 3,969 values each) share
+        # one batch, and a rate's record time is the sum of its starts'
+        # shares of it.
+        batches, many = [], solve.minimize_free_many
+        monkeypatch.setattr(solve, "minimize_free_many",
+                            lambda *args: batches.append(many(*args)) or batches[-1])
         verdict = lab.verify_limiti_asymptotics(build_rectangle(1, 1, 1 / 64),
                                                 [200.0, 400.0, 800.0],
                                                 SolverConfig(restarts=0))
-        assert len(walls) == len(verdict.records) == 3
-        assert all(r.wall_time >= (1 - 1e-6) * wall
-                   for r, wall in zip(verdict.records, walls))
+        [batch] = batches
+        assert [r.start_label for r in batch] == 3 * ["single", "uniform"]
+        for i, rec in enumerate(verdict.records):
+            rate = batch[2 * i:2 * i + 2]
+            assert rec.wall_time == pytest.approx(
+                rate[0].seconds + rate[1].seconds, rel=1e-6)
+            assert rec.total == min(r.energy for r in rate)
 
     def test_limit_fit_recovers_three_term_law(self):
         lams = [50.0, 100.0, 200.0, 400.0, 800.0]
@@ -427,6 +434,26 @@ class TestSweep:
                 for name in ("dirichlet", "potential", "interaction", "total",
                              "overlap"):
                     assert getattr(rec, name) == getattr(want, name)
+
+    def test_lone_rereport_is_energy_total(self, monkeypatch):
+        # At eps 0.8 the best state at kappa 200 and 800 is the lone
+        # `single` start, solved once at kappa 0 and re-reported: its record
+        # is energy_total of its final system in every field.
+        bests, record = [], lab.record_from_result
+        monkeypatch.setattr(lab, "record_from_result", lambda exp, best, *a, **kw:
+                            bests.append(best) or record(exp, best, *a, **kw))
+        [records] = lab.run_sweep_task(
+            {"kind": "disc", "radius": 1.0, "h": 1 / 8}, 2,
+            [(100.0, (0.8,), [0.0, 200.0, 800.0])], SolverConfig(restarts=0))
+        assert [b.start_label for b in bests][1:] == ["single", "single"]
+        for best, rec in zip(bests, records):
+            want = energy_total(best.system)
+            assert best.system.kappa == rec.kappa
+            for name in ("dirichlet", "potential"):
+                assert getattr(best.report, name).tobytes() == \
+                    getattr(want, name).tobytes()
+            for name in ("interaction", "kappa", "total"):
+                assert getattr(best.report, name) == getattr(want, name)
 
     def test_oversized_group_follows_the_batch_rule(self, tmp_path,
                                                      monkeypatch):
